@@ -25,18 +25,12 @@ def drive(engine, node: int, address: int, is_write: bool, label: str):
         print(f"  {label}: HIT (no coherence action)")
         return
 
-    done = {}
-
-    def transaction():
-        latency = yield from engine.miss(node, address, outcome)
-        done["latency"] = latency
-
-    sim.spawn(transaction(), name=label)
+    miss = engine.spawn_miss(node, address, outcome, name=label)
     sim.run()
     state = engine.caches[node].state_of(address).value
     print(
         f"  {label}: {outcome.value:>10} -> {state:<15} "
-        f"latency {done['latency'] / 1000:7.1f} ns"
+        f"latency {miss.result / 1000:7.1f} ns"
     )
 
 

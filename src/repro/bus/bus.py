@@ -33,7 +33,7 @@ from repro.memory.bank import MemoryBank, build_banks
 from repro.memory.cache import AccessOutcome, DirectMappedCache
 from repro.memory.directory_store import DirtyBitDirectory
 from repro.memory.states import CacheState
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Process, Simulator
 from repro.sim.queues import ReadWriteLock, Resource
 
 __all__ = ["BusSystem"]
@@ -117,8 +117,18 @@ class BusSystem:
         return ("dirty-bit", dirty, self._dirty_node.get(block) if dirty else None)
 
     # ------------------------------------------------------------------
-    # Transaction entry point (same interface as the ring engines)
+    # Transaction entry points (same interface as the ring engines)
     # ------------------------------------------------------------------
+    def spawn_miss(
+        self,
+        node: int,
+        address: int,
+        outcome: AccessOutcome,
+        name: str = "miss",
+    ) -> Process:
+        """Start one miss as its own process (result: latency in ps)."""
+        return self.sim.spawn(self.miss(node, address, outcome), name=name)
+
     def miss(self, node: int, address: int, outcome: AccessOutcome) -> Step:
         start_ps = self.sim.now
         tracer = self.sim.tracer

@@ -1,21 +1,25 @@
 """State abstraction and replay harness for the model checker.
 
 The coherence engines are process-oriented: their in-flight state
-lives in suspended Python generators, which cannot be deep-copied.
-The checker therefore never snapshots a *live* engine.  Instead it
-works over **quiescent** abstract states -- the engine after the event
-heap has drained -- and reaches any such state by *replaying* a script
-of reference steps on a freshly built engine.  Replay is cheap at
+lives in suspended processes (generators, which cannot be deep-copied,
+or flat machines parked on the event heap).  The checker therefore
+never snapshots a *live* engine.  Instead it works over **quiescent**
+abstract states -- the engine after the event heap has drained -- and
+reaches any such state by *replaying* a script of reference steps on
+a freshly built engine.  Replay is cheap at
 checker scale (2--4 nodes, 1--2 shared lines) and gives the explorer
 minimal counterexamples for free: a BFS node's script *is* its
 reproduction recipe.
 
 A step is one or two concurrent references (the two-reference "race"
 steps exercise the shared-lock, snapshot and gated-commit paths that
-sequential replay alone cannot reach).  After spawning the refs the
-harness drains the heap under a generous horizon; a heap that outlives
-the horizon is reported as divergence (livelock), stuck processes as
-deadlock.
+sequential replay alone cannot reach).  Each reference starts through
+the engine's ``spawn_miss`` -- for the snooping and directory engines
+the same flat machine a simulated processor runs, so an exhaustive
+proof covers the code that simulations execute.  After spawning the
+refs the harness drains the heap under a generous horizon; a heap that
+outlives the horizon is reported as divergence (livelock), stuck
+processes as deadlock.
 
 On top of the structural invariants the harness keeps a **freshness
 oracle**: a shadow version counter per line plus the version each
@@ -204,9 +208,8 @@ class EngineHarness:
             if outcome is AccessOutcome.HIT:
                 hits.append(ref)
                 continue
-            self.sim.spawn(
-                self.engine.miss(ref.node, address, outcome),
-                name=f"check:{ref.label()}",
+            self.engine.spawn_miss(
+                ref.node, address, outcome, name=f"check:{ref.label()}"
             )
             spawned = True
         if spawned:

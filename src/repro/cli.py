@@ -936,20 +936,8 @@ def _command_ringbus(args: argparse.Namespace) -> int:
 def _command_grid(args: argparse.Namespace) -> int:
     import time
 
-    try:
-        from repro.models import grid as grid_engine
-    except ImportError as error:  # pragma: no cover - import is lazy below
-        print(f"grid engine unavailable: {error}", file=sys.stderr)
-        return 2
-    if not grid_engine.grid_available():
-        print(
-            "grid engine unavailable: NumPy is not installed "
-            "(or REPRO_NO_NUMPY is set); the scalar commands "
-            "('sweep', 'compare', 'ringbus') cover the same models",
-            file=sys.stderr,
-        )
-        return 2
     from repro.core.sweep import design_surface
+    from repro.models import grid as grid_engine
 
     parameters = None
     if args.param:

@@ -199,9 +199,8 @@ def model_sensitivity_sweep(
     Misses the emergent effects a re-simulation captures (the event
     mix is held fixed) but costs milliseconds per value, so it scales
     to axes a simulation sweep cannot.  ``use_grid`` picks the solver:
-    True forces the vectorized grid engine, False the scalar models,
-    None (default) uses the grid when NumPy is available.  Both paths
-    produce identical rows.
+    True or None (the default) uses the vectorized grid engine, False
+    the scalar models.  Both paths produce identical rows.
     """
     from repro.core.hybrid import (
         _target_config,
@@ -211,9 +210,7 @@ def model_sensitivity_sweep(
     from repro.core.experiment import run_simulation_cached
 
     if use_grid is None:
-        from repro.models.grid import grid_available
-
-        use_grid = grid_available()
+        use_grid = True
     point = extraction_point(
         benchmark,
         num_processors,

@@ -205,13 +205,11 @@ def design_surface(
     grid-engine workload the scalar models would need thousands of
     separate solves for.  Returns the
     :class:`repro.models.grid.GridSolution`; reshape any metric with
-    ``solution.surface(...)``.  Needs NumPy (raises ImportError before
-    running the extraction when it is unavailable).
+    ``solution.surface(...)``.
     """
     from repro.core.hybrid import _target_config, extraction_point
     from repro.models import grid as grid_engine
 
-    grid_engine.require_numpy()  # fail fast before the extraction run
     point = extraction_point(
         benchmark, num_processors, protocol, config=config, data_refs=data_refs
     )

@@ -1,9 +1,10 @@
 """Analytical models: the fast half of the hybrid methodology.
 
-The scalar models below import eagerly and stay dependency-free.  The
-vectorized grid engine (``repro.models.grid``) needs NumPy, so its
-names are re-exported lazily via module ``__getattr__`` -- importing
-``repro.models`` never pulls in NumPy.
+The scalar models below import eagerly and stay dependency-free (they
+are the grid engine's oracle).  The vectorized grid engine
+(``repro.models.grid``) uses NumPy, so its names are re-exported
+lazily via module ``__getattr__`` -- importing ``repro.models`` never
+pulls in NumPy.
 """
 
 from repro.models.base import (
@@ -68,7 +69,6 @@ __all__ = [
     "GridSolution",
     "solve_grid",
     "grid_sweep",
-    "grid_available",
     "GRID_STATS",
     "reset_grid_stats",
     "matching_bus_clock_grid",
@@ -80,7 +80,6 @@ _GRID_EXPORTS = frozenset(
         "GridSolution",
         "solve_grid",
         "grid_sweep",
-        "grid_available",
         "GRID_STATS",
         "reset_grid_stats",
         "matching_bus_clock_grid",

@@ -38,17 +38,16 @@ column, each column seeded with the previous column's solved times
 configuration at once).  Failed lanes reseed from the default guess so
 a divergent point never poisons the rest of its chain.
 
-NumPy stays optional: everything here imports lazily through
-:func:`require_numpy`, and ``REPRO_NO_NUMPY=1`` forces the scalar-only
-fallback even when NumPy is installed (used by the CI leg that proves
-the fallback).  The simulation hot paths never import NumPy -- the AST
-lint in ``tests/test_obs.py`` enforces that.
+NumPy is a declared dependency, but everything here imports it lazily
+through :func:`require_numpy`: the simulator never solves grids, so a
+simulation (and ``import repro``) does not pay for the import.  The
+simulation hot paths never import NumPy -- the AST lint in
+``tests/test_obs.py`` enforces that.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -68,7 +67,6 @@ __all__ = [
     "access_comparison_grid",
     "crossover_utilization_grid",
     "family_for_protocol",
-    "grid_available",
     "grid_sweep",
     "matching_bus_clock_grid",
     "register_insertion_access_grid",
@@ -103,40 +101,11 @@ def reset_grid_stats() -> None:
 # ----------------------------------------------------------------------
 # Lazy NumPy
 # ----------------------------------------------------------------------
-_NUMPY_CACHE: "list[Any]" = []
-
-
 def require_numpy():
-    """Return the numpy module or raise ImportError with guidance.
+    """Return the numpy module, imported on first use."""
+    import numpy
 
-    ``REPRO_NO_NUMPY=1`` disables the grid engine even when NumPy is
-    installed, so the scalar fallback can be exercised anywhere.  The
-    environment variable is honoured per call (tests monkeypatch it).
-    """
-    if os.environ.get("REPRO_NO_NUMPY"):
-        raise ImportError(
-            "the grid engine is disabled (REPRO_NO_NUMPY is set); "
-            "use the scalar models instead"
-        )
-    if not _NUMPY_CACHE:
-        try:
-            import numpy
-        except ImportError as error:  # pragma: no cover - env dependent
-            raise ImportError(
-                "repro.models.grid needs numpy; install it (pip install "
-                "numpy) or stay on the scalar models"
-            ) from error
-        _NUMPY_CACHE.append(numpy)
-    return _NUMPY_CACHE[0]
-
-
-def grid_available() -> bool:
-    """True when the vectorized engine can run in this process."""
-    try:
-        require_numpy()
-    except ImportError:
-        return False
-    return True
+    return numpy
 
 
 # ----------------------------------------------------------------------

@@ -94,7 +94,13 @@ class TraceProcessor:
         self._pending_upgrades: set = set()
 
     def run(self) -> Generator[Any, Any, None]:
-        """Process body: execute the whole trace."""
+        """Process body: execute the whole trace.
+
+        The generator form, used by engines without a flat table (bus,
+        linked list, hierarchical); the snooping and directory engines
+        run the same loop as a flat machine
+        (:func:`repro.ring.flatring.spawn_trace_processor`).
+        """
         sim = self.sim
         counters = self.counters
         cache = self.cache

@@ -1,11 +1,16 @@
 """Shared machinery for the three ring coherence engines.
 
 A protocol engine owns the caches, memory banks, slot scheduler and
-coherence bookkeeping for one simulated machine.  Processors call
-:meth:`RingSystemBase.miss` (a generator to ``yield from``) for every
-reference that does not hit; the engine plays out the whole coherence
-transaction -- slot waits, ring hops, memory accesses, snoop side
-effects -- and returns when the processor may resume.
+coherence bookkeeping for one simulated machine.  Every reference that
+does not hit runs one coherence transaction -- slot waits, ring hops,
+memory accesses, snoop side effects -- that completes when the
+processor may resume.  The snooping and full-map directory engines run
+transactions as flat state machines (:mod:`repro.ring.flatring`, with
+their tables in :mod:`~repro.ring.flatsnooping` and
+:mod:`~repro.ring.flatdirectory`); the linked-list engine runs them as
+generators through :meth:`RingSystemBase.miss`.
+:meth:`RingSystemBase.spawn_miss` starts one transaction as its own
+process whichever form the engine has.
 
 Concurrency discipline
 ----------------------
@@ -31,8 +36,7 @@ from repro.memory.states import CacheState
 from repro.ring.scheduler import SlotGrant, SlotScheduler
 from repro.ring.slots import SlotType
 from repro.ring import flatring
-from repro.sim.flatcore import flatcore_enabled
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Process, Simulator
 from repro.sim.queues import ReadWriteLock
 
 __all__ = ["RingSystemBase", "ProtocolError"]
@@ -49,9 +53,10 @@ class RingSystemBase:
     """Caches + banks + slotted ring shared by all three ring protocols."""
 
     #: Flat dispatch table for this engine's transactions (a list of
-    #: :mod:`repro.ring.flatring` handlers), or ``None`` when only the
-    #: coroutine form exists.  Set by the snooping and directory
-    #: subclasses; engines without a table still use flat snoop timers.
+    #: :mod:`repro.ring.flatring` handlers), or ``None`` for an engine
+    #: whose transactions are generators (:meth:`transact`).  Set by
+    #: the snooping and directory subclasses; every ring engine uses
+    #: the flat snoop timers.
     FLAT_TABLE = None
 
     def __init__(self, sim: Simulator, config: SystemConfig) -> None:
@@ -84,11 +89,6 @@ class RingSystemBase:
         #: hardware snooper identifies itself; the simulator needs the
         #: identity to route the response.
         self._dirty_node: Dict[int, int] = {}
-        #: Flat-core gating: snoop timers flatten for every ring
-        #: engine; whole transactions only where a dispatch table
-        #: exists (snooping, directory).
-        self._flat_timers = flatcore_enabled()
-        self._flat = self._flat_timers and type(self).FLAT_TABLE is not None
         #: Free lists of pooled flat machines (any role) and timers.
         self._flat_pool: List[flatring.RingMachine] = []
         self._timer_pool: List[flatring.FlatTimer] = []
@@ -104,9 +104,6 @@ class RingSystemBase:
     def trace_category(self) -> str:
         """Telemetry component name for this engine's events."""
         return f"ring.{self.protocol.value}"
-
-    def cycles_ps(self, cycles: int) -> int:
-        return cycles * self.clock_ps
 
     def wait_until_cycle(self, cycle: int) -> Step:
         """Advance the calling process to ring-cycle ``cycle``."""
@@ -220,71 +217,20 @@ class RingSystemBase:
         yield from self.wait_until_cycle(arrival)
         return arrival
 
-    def broadcast_probe(self, src: int, address: int) -> SlotGrant:
-        """Acquire a probe slot for a full-traversal broadcast.
-
-        Returns the grant; the caller schedules snoop side effects at
-        per-node passage times via :meth:`passage_cycle`.
-        (This is itself a generator -- use ``yield from``.)
-        """
-        grant: SlotGrant = yield from self.scheduler.acquire(
-            src,
-            self.probe_type_for(address),
-            occupancy_cycles=self.topology.total_stages,
-            removed_by=src,
-        )
-        self.stats.probes_sent += 1
-        self.stats.broadcast_probes += 1
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.message(
-                self.scheduler.cycle_to_ps(grant.grab_cycle),
-                self.scheduler.cycle_to_ps(self.topology.total_stages),
-                self.trace_category,
-                "probe.broadcast",
-                src,
-                src,
-            )
-        return grant
-
-    def passage_cycle(self, grant: SlotGrant, src: int, node: int) -> int:
-        """Cycle at which ``grant``'s broadcast probe passes ``node``."""
-        return grant.grab_cycle + self.topology.distance(src, node)
-
     # ------------------------------------------------------------------
     # Snoop side effects applied at probe passage time
     # ------------------------------------------------------------------
     def schedule_invalidate(self, node: int, address: int, at_cycle: int) -> None:
         """Invalidate ``node``'s copy when the probe passes it."""
-        if self._flat_timers:
-            flatring.spawn_snoop_timer(
-                self, flatring.INVALIDATE_TABLE, "inv", node, address, at_cycle
-            )
-            return
-        self.sim.spawn(
-            self._deferred_invalidate(node, address, at_cycle),
-            name=f"inv:n{node}",
+        flatring.spawn_snoop_timer(
+            self, flatring.INVALIDATE_TABLE, "inv", node, address, at_cycle
         )
-
-    def _deferred_invalidate(self, node: int, address: int, at_cycle: int) -> Step:
-        yield from self.wait_until_cycle(at_cycle)
-        self.caches[node].snoop_invalidate(address)
 
     def schedule_downgrade(self, node: int, address: int, at_cycle: int) -> None:
         """Downgrade ``node``'s WE copy to RS when the probe passes."""
-        if self._flat_timers:
-            flatring.spawn_snoop_timer(
-                self, flatring.DOWNGRADE_TABLE, "dgr", node, address, at_cycle
-            )
-            return
-        self.sim.spawn(
-            self._deferred_downgrade(node, address, at_cycle),
-            name=f"dgr:n{node}",
+        flatring.spawn_snoop_timer(
+            self, flatring.DOWNGRADE_TABLE, "dgr", node, address, at_cycle
         )
-
-    def _deferred_downgrade(self, node: int, address: int, at_cycle: int) -> Step:
-        yield from self.wait_until_cycle(at_cycle)
-        self.caches[node].snoop_downgrade(address)
 
     def sharers_other_than(self, address: int, node: int) -> List[int]:
         """Nodes (excluding ``node``) whose caches hold the block."""
@@ -312,7 +258,7 @@ class RingSystemBase:
         self.caches[node].evict(victim_address)
         self.caches[node].stats.writebacks += state is CacheState.WE
         if state is CacheState.WE:
-            if self._flat:
+            if self.FLAT_TABLE is not None:
                 flatring.spawn_writeback(self, node, victim_address)
             else:
                 self.sim.spawn(
@@ -333,16 +279,12 @@ class RingSystemBase:
         """
 
     def writeback(self, node: int, address: int) -> Step:
-        """Background write-back of a WE victim (subclass provides)."""
+        """Background write-back of a WE victim (generator engines)."""
         raise NotImplementedError
 
     # Flat write-back hooks: protocol-specific pieces of the shared
-    # flat machine in :mod:`repro.ring.flatring` (engines with a
-    # FLAT_TABLE provide them).
-    def _flat_wb_owned(self, node: int, address: int, block: int) -> bool:
-        """Whether ``node`` still write-owns ``block`` (guard check)."""
-        raise NotImplementedError
-
+    # flat write-back machine in :mod:`repro.ring.flatring` (engines
+    # with a FLAT_TABLE provide them).
     def _flat_wb_clear(self, block: int) -> None:
         """Commit a completed write-back in the ownership metadata."""
         raise NotImplementedError
@@ -379,10 +321,31 @@ class RingSystemBase:
             self.fill(node, address, CacheState.WE)
 
     # ------------------------------------------------------------------
-    # Transaction entry point
+    # Transaction entry points
     # ------------------------------------------------------------------
+    def spawn_miss(
+        self,
+        node: int,
+        address: int,
+        outcome: AccessOutcome,
+        name: str = "miss",
+    ) -> Process:
+        """Start one miss transaction as its own process.
+
+        The process's ``result`` (and its ``done`` event's value) is
+        the transaction latency in ps.  Engines with a flat table run
+        the same machine the trace processors run inline; the others
+        wrap :meth:`miss`.
+        """
+        if self.FLAT_TABLE is not None:
+            return flatring.spawn_miss(self, node, address, outcome, name)
+        return self.sim.spawn(self.miss(node, address, outcome), name=name)
+
     def miss(self, node: int, address: int, outcome: AccessOutcome) -> Step:
-        """Handle a non-hit reference; returns the latency in ps."""
+        """Generator form of a miss (engines without a flat table).
+
+        Handles a non-hit reference and returns the latency in ps.
+        """
         start_ps = self.sim.now
         tracer = self.sim.tracer
         if tracer is not None:
@@ -465,8 +428,12 @@ class RingSystemBase:
     def transact(
         self, node: int, address: int, outcome: AccessOutcome, start_ps: int
     ) -> Step:
-        """Protocol-specific transaction body (subclass provides)."""
-        raise NotImplementedError
+        """Protocol-specific generator transaction body (engines
+        without a flat table provide it)."""
+        raise NotImplementedError(
+            f"{type(self).__name__} runs transactions as flat machines: "
+            "start them with spawn_miss() or spawn_trace_processor()"
+        )
 
     # ------------------------------------------------------------------
     # Private data (identical in every protocol: local memory access)

@@ -1,16 +1,16 @@
 """Flat dispatch table for the full-map directory ring protocol.
 
-Port of :class:`repro.ring.directory.DirectoryRingSystem`'s
-transaction generators to :mod:`repro.ring.flatring` state handlers,
-preserving the coroutine form's side-effect order and kernel
-interaction stream exactly (see the equivalence contract in
+The transactions of :class:`repro.ring.directory.DirectoryRingSystem`
+as :mod:`repro.ring.flatring` state handlers.  Each handler runs from
+one kernel wait to the next; the order of its waits and side effects
+is part of the results (see the determinism contract in
 :mod:`repro.ring.flatring`).
 
-Like the coroutine form, the write path keeps the directory entry it
-captured before its first wait (``proc.dir_entry``) while the read
-path re-fetches ``directory.entry(block)`` after waiting -- both
-observation patterns are part of the protocol's gated-commit
-behaviour and must not be "harmonised".
+The write path keeps the directory entry it captured before its first
+wait (``proc.dir_entry``) while the read path re-fetches
+``directory.entry(block)`` after waiting -- both observation patterns
+are part of the protocol's gated-commit behaviour and must not be
+"harmonised".
 
 ``COMMIT_TRANSITIONS`` -- the cache-line transitions the handlers may
 drive -- is **derived** from the directory guarded-action spec
@@ -63,7 +63,7 @@ COMMIT_TRANSITIONS = validate_commit_table(commit_table("directory"))
 
 
 # ----------------------------------------------------------------------
-# Transaction dispatch (port of DirectoryRingSystem.transact)
+# Transaction dispatch: private data, upgrade, read or write miss
 # ----------------------------------------------------------------------
 def _dir_transact(proc: RingMachine, value: Any) -> int:
     engine = proc.engine
@@ -81,7 +81,7 @@ def _dir_transact(proc: RingMachine, value: Any) -> int:
 
 
 # ----------------------------------------------------------------------
-# Reads (port of _read_miss)
+# Reads: requester -> home, then memory or a forward to the dirty node
 # ----------------------------------------------------------------------
 def _dir_read_begin(proc: RingMachine) -> int:
     engine = proc.engine
@@ -175,7 +175,8 @@ def _dir_read_clean_commit(proc: RingMachine) -> int:
 
 
 # ----------------------------------------------------------------------
-# Writes (port of _write_miss)
+# Writes: requester -> home, then an ownership transfer from the dirty
+# node, or memory overlapped with a multicast invalidation of sharers
 # ----------------------------------------------------------------------
 def _dir_write_begin(proc: RingMachine) -> int:
     engine = proc.engine
@@ -293,7 +294,7 @@ def _dir_write_clean_commit(proc: RingMachine) -> int:
 
 
 # ----------------------------------------------------------------------
-# Upgrades (port of _upgrade)
+# Upgrades: requester -> home, multicast invalidation, ack probe back
 # ----------------------------------------------------------------------
 def _dir_upgrade_begin(proc: RingMachine) -> int:
     engine = proc.engine
@@ -368,7 +369,8 @@ def _dir_upg_commit(proc: RingMachine) -> int:
 
 
 # ----------------------------------------------------------------------
-# Write-back-buffer reclaim (port of _reclaim_from_buffer)
+# Write-back-buffer reclaim: re-acquire a block pending in the local
+# write-back buffer, no ring traffic
 # ----------------------------------------------------------------------
 def _dir_reclaim(proc: RingMachine) -> int:
     engine = proc.engine
@@ -398,8 +400,9 @@ def _dir_reclaim_done(proc: RingMachine, value: Any) -> int:
 
 
 # ----------------------------------------------------------------------
-# Fetch-from-owner sub-machine (port of _fetch_from_owner); the caller
-# sets ``fetch_ret`` and accumulates travelled arcs on ``proc.arcs``
+# Fetch-from-owner sub-machine: forward the request to the dirty node
+# and ship the block to the requester; the caller sets ``fetch_ret``
+# and accumulates travelled arcs on ``proc.arcs``
 # ----------------------------------------------------------------------
 def _dir_fetch_begin(proc: RingMachine) -> int:
     if proc.owner != proc.home:

@@ -1,55 +1,57 @@
-"""Flat state-machine port of the ring engines' hot event paths.
+"""Flat state machines of the snooping and directory ring engines.
 
-The coroutine engines in :mod:`repro.ring.base`, :mod:`~repro.ring.
-snooping` and :mod:`~repro.ring.directory` model every transaction as
-a generator resumed once per kernel event.  This module re-expresses
-the same protocol control flow as *dispatch tables*: each former
-resume point becomes one plain handler function, each transaction a
+The snooping and full-map directory engines (:mod:`repro.ring.
+snooping`, :mod:`repro.ring.directory`) run every transaction as a
+*dispatch table* walk: each point where a transaction waits on the
+kernel ends one plain handler function, and each transaction is a
 pooled :class:`~repro.sim.flatcore.FlatProcess` record hopping between
 int-coded states -- protocols as data, in the spirit of the classic
-MSI transition tables, rather than resumable control flow.
+MSI transition tables, rather than resumable control flow.  The
+engine classes hold the protocol state and the queries the handlers
+call; this module holds the handlers every ring engine shares.
 
 Layout
 ------
 * :class:`RingMachine` -- the one record type used for every flat ring
   process: the per-CPU trace loop, the miss transaction it runs
-  inline, and the pooled background machines (victim write-backs,
-  sharing write-backs, multicast invalidations, weak-ordering
-  upgrades).  One union of record fields keeps the per-engine free
-  list universal: any pooled machine can be reset into any role.
+  inline, the standalone misses of :func:`spawn_miss`, and the pooled
+  background machines (victim write-backs, sharing write-backs,
+  multicast invalidations, weak-ordering upgrades).  One union of
+  record fields keeps the per-engine free list universal: any pooled
+  machine can be reset into any role.
 * Shared states ``S_*`` (this module) -- the trace-processor loop, the
-  ``miss()`` wrapper, the slot-acquire / unicast-send / broadcast
-  sub-machines (ports of ``SlotScheduler.acquire``, ``send_probe``,
-  ``send_block`` and ``broadcast_probe``), and the background
+  miss prologue/epilogue (block lock, re-resolution, tracer and
+  monitor hooks), the slot-acquire / unicast-send / broadcast
+  sub-machines (the flat forms of ``SlotScheduler.acquire``,
+  ``RingSystemBase.send_probe`` and ``send_block``, which the
+  linked-list engine uses as generators), and the background
   machines.  Protocol-specific states live in
   :mod:`repro.ring.flatsnooping` and :mod:`repro.ring.flatdirectory`,
   appended after the shared block so every engine table agrees on the
   shared indices.
 * :class:`FlatTimer` -- the deferred snoop-invalidate / downgrade
-  timers (ports of ``_deferred_invalidate`` / ``_deferred_downgrade``),
-  pooled per engine.
+  timers every ring engine uses, pooled per engine.
 
 Sub-machine calls
 -----------------
-``yield from`` composition becomes explicit continuation states: the
+Sub-machine composition uses explicit continuation states: the
 caller stores its resume state in a ``*_ret`` field (``miss_ret``,
 ``acq_ret``, ``msg_ret``, ``fetch_ret``, ``mc_ret``) and jumps into
 the sub-machine's entry; the sub-machine ``_chain``\\ s back when done.
 The nesting depth is fixed by the protocols (CPU -> miss -> transact
--> send -> acquire), so one field per level replaces the coroutine
-frame stack.
+-> send -> acquire), so one field per level replaces a frame stack.
 
-Equivalence contract
+Determinism contract
 --------------------
-Every handler preserves the coroutine engines' kernel interaction
-stream exactly: one heap entry per former ``yield`` with identical
-times and in identical issue order, spawns (:meth:`Simulator.
-activate` here, ``sim.spawn`` there) at the same points, and all side
-effects -- cache and directory mutations, statistics, telemetry,
-monitor hooks -- in the same sequence.  Same-time ordering everywhere
-is decided by kernel sequence numbers, so this makes flat and
-coroutine runs bit-identical; ``tests/test_fastpath_equivalence.py``
-asserts it for all five protocols.
+Same-time ordering everywhere is decided by kernel sequence numbers,
+so the order in which handlers issue waits, activate machines and
+apply side effects -- cache and directory mutations, statistics,
+telemetry, monitor hooks -- is part of every result.  The full output
+of both engines is pinned byte for byte by
+``tests/golden/engine_outputs.json`` and their event counts by
+``BENCH_kernel.json``; the guarded-action specs (:mod:`repro.spec`)
+check every commit the exhaustive explorer drives through
+:func:`spawn_miss`.
 """
 
 from __future__ import annotations
@@ -61,19 +63,14 @@ from repro.memory.address import SHARED_BASE
 from repro.memory.cache import AccessOutcome
 from repro.memory.states import ALLOWED_TRANSITIONS, CacheState, IllegalTransition
 from repro.ring.slots import SlotType
-from repro.sim.flatcore import (
-    OP_DONE,
-    OP_EVENT,
-    OP_TIMEOUT,
-    FlatProcess,
-    flatcore_enabled,
-)
+from repro.sim.flatcore import OP_DONE, OP_EVENT, OP_TIMEOUT, FlatProcess
 
 __all__ = [
     "RingMachine",
     "FlatTimer",
     "SHARED_HANDLERS",
     "S_TRANSACT",
+    "spawn_miss",
     "spawn_trace_processor",
     "spawn_writeback",
     "spawn_sharing_writeback",
@@ -250,8 +247,8 @@ def _chain(proc: RingMachine, state: int) -> int:
 
 
 def _wait_cycle(proc: RingMachine, cycle: int, ret_state: int) -> int:
-    """Port of ``RingSystemBase.wait_until_cycle``: sleep to a ring
-    cycle iff it is in the future, then continue at ``ret_state``."""
+    """Sleep to a ring cycle iff it is in the future, then continue at
+    ``ret_state`` (the flat ``RingSystemBase.wait_until_cycle``)."""
     target_ps = cycle * proc.sched.clock_ps
     now = proc._sim.now
     if target_ps > now:
@@ -262,7 +259,7 @@ def _wait_cycle(proc: RingMachine, cycle: int, ret_state: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Trace-processor loop (port of TraceProcessor.run)
+# Trace-processor loop (the flat TraceProcessor.run)
 # ----------------------------------------------------------------------
 def _cpu_loop(proc: RingMachine, value: Any) -> int:
     sim = proc._sim
@@ -378,7 +375,8 @@ def _cpu_final(proc: RingMachine, value: Any) -> int:
 
 
 # ----------------------------------------------------------------------
-# miss() wrapper (port of RingSystemBase.miss)
+# Miss prologue and epilogue (the flat RingSystemBase.miss): block
+# lock, re-resolution after the wait, tracer and monitor hooks
 # ----------------------------------------------------------------------
 def _miss_enter(proc: RingMachine, value: Any) -> int:
     engine = proc.engine
@@ -440,8 +438,15 @@ def _miss_exit(proc: RingMachine) -> int:
     return _chain(proc, proc.miss_ret)
 
 
+def _miss_done(proc: RingMachine, value: Any) -> int:
+    """Epilogue of a :func:`spawn_miss` machine: the latency is the
+    process result."""
+    proc.result = proc._sim.now - proc.start_ps
+    return OP_DONE
+
+
 # ----------------------------------------------------------------------
-# Private-data miss (port of RingSystemBase.private_miss)
+# Private-data miss (the flat RingSystemBase.private_miss)
 # ----------------------------------------------------------------------
 def _private(proc: RingMachine, value: Any) -> int:
     engine = proc.engine
@@ -459,7 +464,7 @@ def _private_fill(proc: RingMachine, value: Any) -> int:
 
 
 # ----------------------------------------------------------------------
-# Slot acquisition (port of SlotScheduler.acquire, both paths)
+# Slot acquisition (the flat SlotScheduler.acquire, both paths)
 # ----------------------------------------------------------------------
 def _begin_acquire(
     proc: RingMachine,
@@ -587,7 +592,7 @@ def _acq_wake(proc: RingMachine, value: Any) -> int:
 
 
 # ----------------------------------------------------------------------
-# Unicast sends (ports of send_probe / send_block)
+# Unicast sends (the flat send_probe / send_block)
 # ----------------------------------------------------------------------
 def _begin_send_probe(
     proc: RingMachine, src: int, dst: int, address: int, ret_state: int
@@ -647,7 +652,7 @@ def _send_granted(proc: RingMachine, value: Any) -> int:
 
 
 # ----------------------------------------------------------------------
-# Broadcast probes (port of broadcast_probe)
+# Broadcast probes: a probe slot held for one full traversal
 # ----------------------------------------------------------------------
 def _begin_broadcast(
     proc: RingMachine, src: int, address: int, ret_state: int
@@ -689,8 +694,8 @@ def _bcast_granted(proc: RingMachine, value: Any) -> int:
 
 
 # ----------------------------------------------------------------------
-# Victim write-back machine (ports of writeback(); engine hooks supply
-# the protocol-specific ownership guard and commit)
+# Victim write-back machine (the engine's owned_by() is the guard, its
+# _flat_wb_clear() hook the protocol-specific commit)
 # ----------------------------------------------------------------------
 def _wb_enter(proc: RingMachine, value: Any) -> int:
     engine = proc.engine
@@ -714,9 +719,9 @@ def _wb_locked(proc: RingMachine, value: Any) -> int:
     engine = proc.engine
     node = proc.node
     address = proc.miss_addr
-    if not engine._flat_wb_owned(node, address, proc.block) or engine.caches[
-        node
-    ].contains(address):
+    if not engine.owned_by(address, node) or engine.caches[node].contains(
+        address
+    ):
         # Ownership moved / the node reclaimed the block: abort.
         proc.lock.release()
         proc.lock = None
@@ -747,7 +752,9 @@ def _wb_commit(proc: RingMachine, value: Any) -> int:
 
 
 # ----------------------------------------------------------------------
-# Sharing write-back machine (ports of _sharing_writeback)
+# Sharing write-back machine: the memory update after a dirty block
+# was downgraded (the state change committed under the block lock; this
+# accounts for the block-slot traffic and the bank time)
 # ----------------------------------------------------------------------
 def _swb_enter(proc: RingMachine, value: Any) -> int:
     engine = proc.engine
@@ -774,8 +781,9 @@ def _swb_commit(proc: RingMachine, value: Any) -> int:
 
 
 # ----------------------------------------------------------------------
-# Multicast invalidation machine (port of _multicast_invalidate);
-# runs standalone for write misses, inline (via mc_ret) for upgrades
+# Multicast invalidation machine (the directory home's broadcast
+# invalidation); runs standalone for write misses, inline (via mc_ret)
+# for upgrades
 # ----------------------------------------------------------------------
 def _mc_enter(proc: RingMachine, value: Any) -> int:
     return _begin_broadcast(proc, proc.home, proc.miss_addr, S_MC_GRANTED)
@@ -824,7 +832,7 @@ def _pool_done(proc: RingMachine, value: Any) -> int:
 
 
 def _bgu_done(proc: RingMachine, value: Any) -> int:
-    """Weak-ordering upgrade epilogue (the coroutine's ``finally``)."""
+    """Weak-ordering upgrade epilogue: the buffered store retires."""
     proc.pending_upgrades.discard(proc.block)
     proc.pending_upgrades = None
     return _pool_done(proc, None)
@@ -859,6 +867,7 @@ SHARED_HANDLERS = [
     _mc_granted,
     _pool_done,
     _bgu_done,
+    _miss_done,
 ]
 
 S_CPU_LOOP = 0
@@ -883,12 +892,13 @@ S_MC_ENTER = 18
 S_MC_GRANTED = 19
 S_POOL_DONE = 20
 S_BGU_DONE = 21
+S_MISS_DONE = 22
 #: Engine-specific transact dispatcher (first engine slot).
 S_TRANSACT = len(SHARED_HANDLERS)
 
 
 # ----------------------------------------------------------------------
-# Deferred snoop timers (ports of _deferred_invalidate / _downgrade)
+# Deferred snoop timers: mutate one cache line when a probe passes
 # ----------------------------------------------------------------------
 def _timer_enter(timer: "FlatTimer", value: Any) -> int:
     target_ps = timer.target_cycle * timer.clock_ps
@@ -939,8 +949,8 @@ def spawn_snoop_timer(
     address: int,
     at_cycle: int,
 ) -> None:
-    """Activate a pooled invalidate/downgrade timer (1 spawn = 1 heap
-    entry, like ``sim.spawn`` of the coroutine form)."""
+    """Activate a pooled invalidate/downgrade timer (one heap entry at
+    the current time, like ``sim.spawn``)."""
     pool = engine._timer_pool
     timer = pool.pop() if pool else FlatTimer(engine)
     timer.reset()
@@ -971,7 +981,7 @@ def _pool_machine(engine: Any, state: int, name: Optional[str]) -> RingMachine:
 
 
 def spawn_writeback(engine: Any, node: int, address: int) -> None:
-    """Flat replacement for ``sim.spawn(engine.writeback(...))``."""
+    """Start the background write-back of a WE victim."""
     sim = engine.sim
     name = f"wb:n{node}" if sim.tracer is not None else None
     machine = _pool_machine(engine, S_WB_ENTER, name)
@@ -981,7 +991,7 @@ def spawn_writeback(engine: Any, node: int, address: int) -> None:
 
 
 def spawn_sharing_writeback(engine: Any, owner: int, block: int) -> None:
-    """Flat replacement for ``sim.spawn(engine._sharing_writeback(...))``."""
+    """Start the memory update of a downgraded dirty block."""
     sim = engine.sim
     name = f"swb:n{owner}" if sim.tracer is not None else None
     machine = _pool_machine(engine, S_SWB_ENTER, name)
@@ -993,7 +1003,7 @@ def spawn_sharing_writeback(engine: Any, owner: int, block: int) -> None:
 def spawn_multicast(
     engine: Any, home: int, address: int, targets: set, directory: Any
 ) -> RingMachine:
-    """Flat replacement for spawning ``_multicast_invalidate``."""
+    """Start the home's multicast invalidation of ``targets``."""
     sim = engine.sim
     name = f"mcast:n{home}" if sim.tracer is not None else None
     machine = _pool_machine(engine, S_MC_ENTER, name)
@@ -1010,7 +1020,8 @@ def spawn_multicast(
 def _spawn_background_upgrade(
     engine: Any, node: int, address: int, pending_upgrades: set
 ) -> None:
-    """Flat replacement for spawning ``_background_upgrade``."""
+    """Start a weak-ordering upgrade off the critical path (the flat
+    ``TraceProcessor._background_upgrade``)."""
     sim = engine.sim
     name = f"wupg:n{node}" if sim.tracer is not None else None
     machine = _pool_machine(engine, S_MISS_ENTER, name)
@@ -1022,12 +1033,31 @@ def _spawn_background_upgrade(
     sim.activate(machine)
 
 
+def spawn_miss(
+    engine: Any, node: int, address: int, outcome: AccessOutcome, name: str
+) -> RingMachine:
+    """Start one miss as its own machine (``RingSystemBase.spawn_miss``).
+
+    It runs the transaction a CPU machine runs inline; its epilogue
+    stores the latency in ``result``.  The record is fresh, not taken
+    from the pool, because the caller keeps the handle.
+    """
+    machine = RingMachine(engine, type(engine).FLAT_TABLE, name=name)
+    machine.node = node
+    machine.miss_addr = address
+    machine.miss_outcome = outcome
+    machine.miss_ret = S_MISS_DONE
+    machine.state = S_MISS_ENTER
+    engine.sim.activate(machine)
+    return machine
+
+
 def spawn_trace_processor(sim: Any, processor: Any, name: str) -> Any:
     """Start a trace processor: a flat CPU machine when the engine has
-    a flat table (and the flat core is enabled), the coroutine
-    otherwise (bus, linked-list, hierarchical, ``REPRO_NO_FLATCORE``)."""
+    a flat table, the generator otherwise (bus, linked-list,
+    hierarchical)."""
     engine = processor.engine
-    if getattr(engine, "_flat", False):
+    if getattr(engine, "FLAT_TABLE", None) is not None:
         machine = RingMachine(engine, type(engine).FLAT_TABLE, name=name)
         machine.node = processor.node
         machine.counters = processor.counters

@@ -1,10 +1,10 @@
 """Flat dispatch table for the snooping ring protocol.
 
-Port of :class:`repro.ring.snooping.SnoopingRingSystem`'s transaction
-generators to :mod:`repro.ring.flatring` state handlers.  Each handler
-corresponds to one resume point of the coroutine form and preserves
-its side-effect order and kernel interaction stream exactly (see the
-equivalence contract in :mod:`repro.ring.flatring`).
+The transactions of :class:`repro.ring.snooping.SnoopingRingSystem`
+as :mod:`repro.ring.flatring` state handlers.  Each handler runs from
+one kernel wait to the next; the order of its waits and side effects
+is part of the results (see the determinism contract in
+:mod:`repro.ring.flatring`).
 
 ``COMMIT_TRANSITIONS`` -- the cache-line transitions the handlers may
 drive -- is **derived** from the snooping guarded-action spec
@@ -56,7 +56,7 @@ COMMIT_TRANSITIONS = validate_commit_table(commit_table("snooping"))
 
 
 # ----------------------------------------------------------------------
-# Transaction dispatch (port of SnoopingRingSystem.transact)
+# Transaction dispatch: private data, upgrade, or shared-data miss
 # ----------------------------------------------------------------------
 def _sn_transact(proc: RingMachine, value: Any) -> int:
     engine = proc.engine
@@ -71,7 +71,10 @@ def _sn_transact(proc: RingMachine, value: Any) -> int:
 
 
 # ----------------------------------------------------------------------
-# Shared-data misses (port of _shared_miss and its branches)
+# Shared-data misses.  Ownership is snapshotted before the first wait:
+# concurrent shared-mode readers may transfer it while the transaction
+# is in flight, in which case the snapshot still names a valid data
+# supplier (the old owner keeps an RS copy).
 # ----------------------------------------------------------------------
 def _sn_shared(proc: RingMachine) -> int:
     engine = proc.engine
@@ -88,7 +91,11 @@ def _sn_shared(proc: RingMachine) -> int:
         dirty = False
 
     if dirty and owner == node:
-        # Reclaim from the local write-back buffer: no ring traffic.
+        # The block sits in this node's own write-back buffer (evicted,
+        # write-back not drained yet): reclaim it, no ring traffic.  A
+        # write keeps the dirty ownership (the queued write-back aborts
+        # when it finds the new WE copy); a read surrenders it and
+        # turns the buffered data into a memory update.
         engine.prepare_victim(node, address)
         proc.f_delay = engine.config.memory.cache_response_ps
         proc.state = SN_RECLAIM_DONE
@@ -133,7 +140,9 @@ def _sn_local_read_fill(proc: RingMachine, value: Any) -> int:
     return _miss_exit(proc)
 
 
-# --- local clean write miss (port of _local_clean_write_miss) ---------
+# --- local clean write miss: served by local memory, but the ---------
+# --- invalidation probe must still circle the ring (other caches ----
+# --- may hold RS copies; without presence bits the home cannot know) -
 def _sn_lcw_granted(proc: RingMachine, value: Any) -> int:
     engine = proc.engine
     node = proc.node
@@ -169,7 +178,8 @@ def _sn_lcw_commit(proc: RingMachine, value: Any) -> int:
     return _miss_exit(proc)
 
 
-# --- remote-sourced miss (port of _remote_sourced_miss) ---------------
+# --- remote-sourced miss (remote home or any dirty owner): one -------
+# --- broadcast probe plus one block reply, one ring traversal --------
 def _sn_remote_granted(proc: RingMachine, value: Any) -> int:
     engine = proc.engine
     node = proc.node
@@ -212,7 +222,9 @@ def _sn_remote_arrived(proc: RingMachine, value: Any) -> int:
     if proc.is_write:
         engine.dirty_bits.set_dirty(block)
         engine._dirty_node[block] = node
-        # The write must also observe the invalidation ack.
+        # The write must also observe the invalidation ack (the probe
+        # completes its traversal before the block arrives in all but
+        # degenerate cases; the ordering is enforced anyway).
         sched = proc.sched
         ack_cycle = (
             proc.grant_cycle
@@ -243,7 +255,8 @@ def _sn_remote_record(proc: RingMachine) -> int:
     return _miss_exit(proc)
 
 
-# --- upgrades (port of _upgrade) --------------------------------------
+# --- upgrades: RS -> WE permission, a broadcast probe whose ack ------
+# --- rides in the following probe slot of the same type --------------
 def _sn_upgrade_begin(proc: RingMachine) -> int:
     engine = proc.engine
     node = proc.node

@@ -47,7 +47,7 @@ from repro.memory.states import CacheState
 from repro.ring.scheduler import SlotGrant, SlotScheduler
 from repro.ring.slots import SlotType
 from repro.ring.topology import RingTopology
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Process, Simulator
 from repro.sim.queues import ReadWriteLock
 
 __all__ = ["HierarchicalRingSystem"]
@@ -339,8 +339,18 @@ class HierarchicalRingSystem:
         self.stats.sharing_writebacks += 1
 
     # ------------------------------------------------------------------
-    # Transaction entry point
+    # Transaction entry points
     # ------------------------------------------------------------------
+    def spawn_miss(
+        self,
+        node: int,
+        address: int,
+        outcome: AccessOutcome,
+        name: str = "miss",
+    ) -> Process:
+        """Start one miss as its own process (result: latency in ps)."""
+        return self.sim.spawn(self.miss(node, address, outcome), name=name)
+
     def miss(self, node: int, address: int, outcome: AccessOutcome) -> Step:
         start_ps = self.sim.now
         block = self.address_map.block_of(address)

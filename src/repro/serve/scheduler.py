@@ -25,6 +25,7 @@ cancelled) without touching sockets or simulations.
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 import threading
 import time
 import traceback
@@ -133,8 +134,6 @@ def _run_check(scheduler: "JobScheduler", ex: Execution):
 def _run_grid(scheduler: "JobScheduler", ex: Execution):
     from repro.models import grid as grid_engine
 
-    if not grid_engine.grid_available():
-        raise RuntimeError("grid jobs need NumPy, which is not available")
     params = ex.spec.params
     report = _run_points(scheduler, ex)
     extraction = report.results[0]
@@ -181,6 +180,11 @@ class JobScheduler:
         Created lazily from any runner thread; workers are initialised
         against the store active at creation time, exactly like the
         per-sweep pools of :func:`repro.core.parallel.execute_points`.
+
+        Workers are *spawned*, never forked: the pool starts while a
+        client's event stream is open, and a forked worker would
+        inherit that socket and keep the connection alive after the
+        daemon closed it, so the client would never see end-of-file.
         """
         if self.jobs <= 1:
             return None
@@ -192,6 +196,7 @@ class JobScheduler:
                 )
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.jobs,
+                    mp_context=multiprocessing.get_context("spawn"),
                     initializer=_worker_init,
                     initargs=(worker_dir, store.enabled, store._generation),
                 )

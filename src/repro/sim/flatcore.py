@@ -1,15 +1,16 @@
 """Flat state-machine processes for the event kernel.
 
-The generator kernel of :mod:`repro.sim.kernel` models every simulation
+The generator kernel of :mod:`repro.sim.kernel` models a simulation
 process as a Python generator resumed once per event.  That is the
-CSIM-style process-oriented view the paper's simulators used, and it
-stays available (``REPRO_NO_FLATCORE=1``), but resuming a coroutine per
-event -- and allocating a request object per yield, a generator frame
-per helper, and a ``Process``/``Event`` pair per background task -- is
-the dominant cost of large-ring simulations.
+CSIM-style process-oriented view the paper's simulators used, and the
+bus, linked-list and hierarchical engines still run that way, but
+resuming a coroutine per event -- and allocating a request object per
+yield, a generator frame per helper, and a ``Process``/``Event`` pair
+per background task -- is the dominant cost of large-ring simulations.
 
-This module provides the *flat* alternative: a process is a
-:class:`FlatProcess` record holding
+This module provides the *flat* process kind, used by the snooping and
+directory engines, the snoop timers and the memory-bank service
+timers: a process is a :class:`FlatProcess` record holding
 
 * an **int-coded state** (``proc.state``) indexing into a dispatch
   ``table`` of plain handler functions -- protocol control flow as
@@ -31,16 +32,16 @@ handler returning :data:`OP_CONTINUE` chains straight into the next
 state without touching the heap -- the flat analogue of straight-line
 code between two ``yield`` points.
 
-Equivalence contract
---------------------
-A flat machine must interact with the kernel *exactly* like the
-generator it replaces: one heap entry per former ``yield``, issued in
-the same order with the same times and values, and every side effect
-(cache mutation, spawn, event fire, statistics, telemetry) performed in
-the same sequence.  Same-time ordering everywhere in the simulator is
-decided by kernel sequence numbers, so preserving the allocation
-stream makes flat and coroutine runs bit-identical -- which
-``tests/test_fastpath_equivalence.py`` asserts for every protocol.
+Kernel contract
+---------------
+Each wait a handler issues (``OP_TIMEOUT`` / ``OP_EVENT`` /
+``OP_RELAY``) is the flat form of one ``yield`` of a generator
+process and is scheduled exactly like it; same-time ordering
+everywhere in the simulator is decided by kernel sequence numbers, so
+both process kinds interleave deterministically on one heap.  The
+exact event stream of the flat engines is pinned by the golden and
+bench counters (``tests/golden/engine_outputs.json``,
+``BENCH_kernel.json``).
 
 The AST lint in ``tests/test_flatcore.py`` enforces the "no per-event
 object churn" property structurally: no ``yield`` and no per-step
@@ -49,7 +50,6 @@ request construction inside dispatch handlers.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, List, Optional
 
 from repro.sim.kernel import Process, Relay, Simulator
@@ -61,21 +61,7 @@ __all__ = [
     "OP_RELAY",
     "OP_DONE",
     "FlatProcess",
-    "flatcore_enabled",
 ]
-
-
-def flatcore_enabled() -> bool:
-    """Whether new simulations use flat state-machine dispatch.
-
-    Controlled by the ``REPRO_NO_FLATCORE`` environment variable (any
-    non-empty value falls back to the coroutine engines), mirroring
-    ``REPRO_NO_FASTPATH``: an env toggle propagates to process-pool
-    workers without widening :class:`repro.core.config.SystemConfig`
-    (which would change every result-store fingerprint), and it is the
-    bisection lever the equivalence suite flips.
-    """
-    return not os.environ.get("REPRO_NO_FLATCORE")
 
 
 # ----------------------------------------------------------------------
@@ -84,11 +70,11 @@ def flatcore_enabled() -> bool:
 #: Chain into ``proc.state`` immediately; no kernel interaction.  The
 #: flat analogue of falling through to the next basic block.
 OP_CONTINUE = -1
-#: Sleep ``proc.f_delay`` picoseconds (a former ``yield timeout(d)``).
+#: Sleep ``proc.f_delay`` picoseconds (the flat ``yield sim.timeout(d)``).
 OP_TIMEOUT = 0
-#: Wait on ``proc.f_event`` (a former ``yield event``).
+#: Wait on ``proc.f_event`` (the flat ``yield event``).
 OP_EVENT = 1
-#: Relay-sleep per ``proc.f_relay`` (a former ``yield Relay(...)``).
+#: Relay-sleep per ``proc.f_relay`` (the flat ``yield Relay(...)``).
 OP_RELAY = 2
 #: The machine finished; ``proc.result`` is its return value.
 OP_DONE = 3

@@ -8,9 +8,9 @@ and FIFO service queues (used for memory banks and the bus arbiter).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, Optional, Tuple
+from typing import Any, Deque, Optional, Tuple
 
-from repro.sim.flatcore import OP_DONE, OP_TIMEOUT, FlatProcess, flatcore_enabled
+from repro.sim.flatcore import OP_DONE, OP_TIMEOUT, FlatProcess
 from repro.sim.kernel import Event, SimulationError, Simulator
 
 __all__ = ["Store", "Resource", "FifoServer"]
@@ -216,12 +216,12 @@ _SERVICE_TABLE = [_service_sleep, _service_complete]
 
 
 class _ServiceTimer(FlatProcess):
-    """Flat replacement for :meth:`FifoServer._fire_at`.
+    """Completion timer of one :class:`FifoServer` request.
 
     One of these fires per request -- for memory banks that is one per
-    miss -- so the coroutine form's per-request generator, process and
-    name-string allocations were pure churn.  Instances are pooled on
-    the owning server and reused across requests.
+    miss -- so it is a flat machine pooled on the owning server and
+    reused across requests: no per-request generator, process or name
+    string.
     """
 
     __slots__ = ("server", "event", "when")
@@ -256,8 +256,7 @@ class FifoServer:
         self.requests: int = 0
         self.busy_time: int = 0
         self.total_wait: int = 0
-        self._flat = flatcore_enabled()
-        #: Free list of completed service timers (flat mode only).
+        #: Free list of completed service timers.
         self._timers: list = []
 
     def request(self, service_time: Optional[int] = None) -> Event:
@@ -274,21 +273,13 @@ class FifoServer:
             histograms.record_queue_depth(self.name, self._pending)
         self._pending += 1
         event = self._sim.event(name=f"served:{self.name}")
-        if self._flat:
-            timers = self._timers
-            timer = timers.pop() if timers else _ServiceTimer(self._sim, self)
-            timer.reset()
-            timer.when = finish
-            timer.event = event
-            self._sim.activate(timer)
-        else:
-            self._sim.spawn(self._fire_at(finish, event), name=f"{self.name}:svc")
+        timers = self._timers
+        timer = timers.pop() if timers else _ServiceTimer(self._sim, self)
+        timer.reset()
+        timer.when = finish
+        timer.event = event
+        self._sim.activate(timer)
         return event
-
-    def _fire_at(self, when: int, event: Event) -> Generator[Any, Any, None]:
-        yield self._sim.timeout(when - self._sim.now)
-        self._pending -= 1
-        event.succeed(self._sim.now)
 
     def reset_statistics(self) -> None:
         """Zero the request counters (start of a measurement window)."""

@@ -10,13 +10,17 @@ generic semantics) the transaction performs.
 
 One description, three consumers:
 
-* the flat engines derive their ``COMMIT_TRANSITIONS`` tables from
-  :func:`commit_table` at import, so the int-coded dispatch layer and
-  the spec cannot drift;
+* the snooping and directory engines -- flat state machines
+  (:mod:`repro.ring.flatsnooping`, :mod:`repro.ring.flatdirectory`),
+  their only implementation -- derive their ``COMMIT_TRANSITIONS``
+  tables from :func:`commit_table` at import, so the int-coded
+  dispatch layer and the spec cannot drift;
 * the model checker executes the spec through
   :mod:`repro.spec.interp` and cross-checks every engine step against
   the spec's predicted successors (``repro check explore
-  --expansion spec``);
+  --expansion spec``); each step runs on the same engine code a
+  simulation runs (the harness starts references with
+  ``spawn_miss``);
 * the ``repro spec`` CLI prints and diffs the tables and runs the
   divergence check.
 
@@ -447,7 +451,8 @@ def _validate_registry() -> None:
 
 
 # ----------------------------------------------------------------------
-# Commit-table derivation (consumed by the flat engines at import)
+# Commit-table derivation (consumed by the snooping and directory
+# engines' dispatch tables at import)
 # ----------------------------------------------------------------------
 #: Canonical ordering of the derived table: action group order first,
 #: then (before, after) in state-declaration order.
@@ -456,7 +461,7 @@ _STATE_ORDER = (_INV, _RS, _WE)
 
 
 def commit_table(protocol: str) -> Tuple[Commit, ...]:
-    """The flat-engine ``COMMIT_TRANSITIONS`` tuple, derived from the
+    """An engine's ``COMMIT_TRANSITIONS`` tuple, derived from the
     protocol's guarded-action spec (single source of truth)."""
     commits = spec_for(protocol).commits()
     return tuple(

@@ -56,11 +56,6 @@ def run_reference(sim, engine, node: int, address: int, is_write: bool):
     outcome = engine.caches[node].classify(address, is_write)
     if outcome is AccessOutcome.HIT:
         return 0
-    box = {}
-
-    def body():
-        box["latency"] = yield from engine.miss(node, address, outcome)
-
-    sim.spawn(body(), name="test-ref")
+    miss = engine.spawn_miss(node, address, outcome, name="test-ref")
     sim.run()
-    return box["latency"]
+    return miss.result

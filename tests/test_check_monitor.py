@@ -76,7 +76,7 @@ def test_monitor_catches_a_live_protocol_bug():
     def drive(node, is_write):
         outcome = engine.caches[node].classify(address, is_write)
         if outcome is not AccessOutcome.HIT:
-            sim.spawn(engine.miss(node, address, outcome), name="t")
+            engine.spawn_miss(node, address, outcome, name="t")
             sim.run()
 
     with pytest.raises(InvariantViolation) as excinfo:

@@ -73,6 +73,27 @@ def test_sweep_outputs_twenty_points(capsys):
     assert "20.0" in out and "1.0" in out
 
 
+def test_grid_renders_a_surface(capsys):
+    code, out = run_cli(
+        capsys,
+        "grid",
+        "mp3d",
+        "-p",
+        "4",
+        "-r",
+        "800",
+        "--param",
+        "ring_clock_ps",
+        "2000",
+        "4000",
+        "--cycles",
+        "5",
+        "10",
+    )
+    assert code == 0
+    assert "ring_clock_ps" in out
+
+
 def test_compare_renders_three_charts(capsys):
     code, out = run_cli(capsys, "compare", "mp3d", "-p", "4", "-r", "800")
     assert code == 0

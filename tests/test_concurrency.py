@@ -15,18 +15,13 @@ from tests.conftest import make_engine, run_reference
 
 def concurrent_reads(engine, sim, nodes, address):
     """Issue read misses from several nodes at the same instant."""
-    latencies = {}
-
-    def body(node):
+    misses = {}
+    for node in nodes:
         outcome = engine.caches[node].classify(address, False)
         assert outcome is AccessOutcome.READ_MISS
-        latency = yield from engine.miss(node, address, outcome)
-        latencies[node] = latency
-
-    for node in nodes:
-        sim.spawn(body(node), name=f"rd{node}")
+        misses[node] = engine.spawn_miss(node, address, outcome, name=f"rd{node}")
     sim.run()
-    return latencies
+    return {node: miss.result for node, miss in misses.items()}
 
 
 @pytest.mark.parametrize(
@@ -101,13 +96,13 @@ def test_write_waits_for_concurrent_readers(protocol):
 
     def reader(node):
         outcome = engine.caches[node].classify(address, False)
-        yield from engine.miss(node, address, outcome)
+        yield engine.spawn_miss(node, address, outcome)
         results[f"r{node}"] = sim.now
 
     def writer(node):
         yield sim.timeout(1_000)  # arrive while the reads are queued
         outcome = engine.caches[node].classify(address, True)
-        yield from engine.miss(node, address, outcome)
+        yield engine.spawn_miss(node, address, outcome)
         results["w"] = sim.now
 
     sim.spawn(reader(0))
@@ -129,16 +124,14 @@ def test_mixed_block_traffic_runs_concurrently():
     addresses = [
         engine.address_map.shared_block_address(i * 300) for i in range(4)
     ]
-    finish = {}
-
-    def body(node, address):
-        outcome = engine.caches[node].classify(address, False)
-        yield from engine.miss(node, address, outcome)
-        finish[node] = sim.now
-
-    for node, address in enumerate(addresses):
-        sim.spawn(body(node, address))
+    misses = [
+        engine.spawn_miss(
+            node, address, engine.caches[node].classify(address, False)
+        )
+        for node, address in enumerate(addresses)
+    ]
     sim.run()
     solo_sim, solo_engine = make_engine(Protocol.SNOOPING)
     solo = run_reference(solo_sim, solo_engine, 0, addresses[0], False)
-    assert max(finish.values()) < 2.5 * solo
+    # All misses start at time 0, so each latency is its finish time.
+    assert max(miss.result for miss in misses) < 2.5 * solo

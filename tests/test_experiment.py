@@ -117,6 +117,7 @@ def test_spec_object_accepted_directly():
 def test_final_state_passes_invariants():
     from repro.core.experiment import build_engine
     from repro.proc.processor import TraceProcessor
+    from repro.ring.flatring import spawn_trace_processor
     from repro.sim.kernel import Simulator
     from repro.traces.benchmarks import benchmark_spec
     from repro.traces.synthetic import SyntheticTraceGenerator
@@ -130,6 +131,6 @@ def test_final_state_passes_invariants():
         processor = TraceProcessor(
             sim, node, engine, generator.stream(node, 600), config.processor
         )
-        sim.spawn(processor.run())
+        spawn_trace_processor(sim, processor, name=f"cpu{node}")
     sim.run()
     engine.check_invariants()

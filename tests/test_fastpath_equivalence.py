@@ -13,7 +13,9 @@ bit-identical across
 * a cache replay from the persistent store.
 
 The env-var toggle is the bisection tool: any future divergence can be
-attributed to the fast path (or not) by flipping it.
+attributed to the fast path (or not) by flipping it.  The reference
+path stays because non-tiling slot layouts (``probe_slots > 2``
+ablations) need it.
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ from repro.core.experiment import (
 from repro.core.parallel import SweepPoint, execute_points
 from repro.core.store import result_to_jsonable
 from repro.obs import Tracer
+from repro.ring.flatring import RingMachine
 from repro.ring.scheduler import fastpath_enabled
-from repro.sim.flatcore import flatcore_enabled
+from repro.sim.kernel import Simulator
+from tests.conftest import make_engine
 
 REFS = 300
 
@@ -109,36 +113,23 @@ def test_serial_parallel_cached_and_fastpath_all_bit_identical(
     assert counters["relay_hops"] > 0
 
 
-def test_flatcore_toggle_reads_environment(monkeypatch):
-    monkeypatch.delenv("REPRO_NO_FLATCORE", raising=False)
-    assert flatcore_enabled()
-    monkeypatch.setenv("REPRO_NO_FLATCORE", "1")
-    assert not flatcore_enabled()
-
-
 # ----------------------------------------------------------------------
-# Flat-core x fast-path matrix: the flat state-machine dispatch and the
-# relay fast path are independent optimisations, so every combination
-# of the two toggles must produce the same bits -- including telemetry
-# event streams and with per-commit invariant checking enabled.
+# Fast-path matrix under full observation: every engine must produce the
+# same bits with the relay fast path on and off -- including telemetry
+# event streams and with per-commit invariant checking enabled.  (The
+# ids name the flat event core, the only one the ring engines have.)
 # ----------------------------------------------------------------------
 MATRIX = [
-    pytest.param(False, False, id="flat+fastpath"),
-    pytest.param(False, True, id="flat+reference"),
-    pytest.param(True, False, id="coroutine+fastpath"),
-    pytest.param(True, True, id="coroutine+reference"),
+    pytest.param(False, id="flat+fastpath"),
+    pytest.param(True, id="flat+reference"),
 ]
 
-#: Baseline (both optimisations on) per protocol, computed lazily so
-#: each parametrized case compares against one shared reference run.
+#: Fast-path run per protocol, computed lazily so each parametrized
+#: case compares against one shared reference run.
 _matrix_baseline: dict = {}
 
 
-def _toggled_run(point, no_flatcore, no_fastpath, monkeypatch):
-    if no_flatcore:
-        monkeypatch.setenv("REPRO_NO_FLATCORE", "1")
-    else:
-        monkeypatch.delenv("REPRO_NO_FLATCORE", raising=False)
+def _observed_run(point, no_fastpath, monkeypatch):
     if no_fastpath:
         monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
     else:
@@ -155,7 +146,7 @@ def _toggled_run(point, no_flatcore, no_fastpath, monkeypatch):
     return result_to_jsonable(result), tracer.events()
 
 
-@pytest.mark.parametrize("no_flatcore,no_fastpath", MATRIX)
+@pytest.mark.parametrize("no_fastpath", MATRIX)
 @pytest.mark.parametrize(
     "protocol",
     [
@@ -167,42 +158,62 @@ def _toggled_run(point, no_flatcore, no_fastpath, monkeypatch):
     ],
 )
 def test_flatcore_fastpath_matrix_bit_identical(
-    protocol, no_flatcore, no_fastpath, monkeypatch
+    protocol, no_fastpath, monkeypatch
 ):
     processors = 16 if protocol is Protocol.SNOOPING else 4
     point = SweepPoint("mp3d", processors, protocol, REFS)
     baseline = _matrix_baseline.get(protocol)
     if baseline is None:
-        baseline = _matrix_baseline[protocol] = _toggled_run(
-            point, False, False, monkeypatch
+        baseline = _matrix_baseline[protocol] = _observed_run(
+            point, False, monkeypatch
         )
-    got = _toggled_run(point, no_flatcore, no_fastpath, monkeypatch)
+    got = _observed_run(point, no_fastpath, monkeypatch)
     assert got[0] == baseline[0], (
         f"results diverged for {protocol.value} with "
-        f"NO_FLATCORE={no_flatcore} NO_FASTPATH={no_fastpath}"
+        f"NO_FASTPATH={no_fastpath}"
     )
     assert got[1] == baseline[1], (
         f"telemetry diverged for {protocol.value} with "
-        f"NO_FLATCORE={no_flatcore} NO_FASTPATH={no_fastpath}"
+        f"NO_FASTPATH={no_fastpath}"
     )
 
 
 def test_flat_engines_skip_generator_resumes(monkeypatch):
-    """The flat core is live by default: a snooping run spawns flat
-    machines (no per-transaction generators), and the coroutine
-    fallback reproduces the same bits while doing the same event
-    work (event counts line up one-to-one across the toggle)."""
-    point = SweepPoint("mp3d", 8, Protocol.SNOOPING, REFS)
-    monkeypatch.delenv("REPRO_NO_FLATCORE", raising=False)
-    monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
-    flat_result, flat_counters = _serial_run(point)
-    monkeypatch.setenv("REPRO_NO_FLATCORE", "1")
-    coro_result, coro_counters = _serial_run(point)
-    assert result_to_jsonable(flat_result) == result_to_jsonable(coro_result)
-    assert (
-        flat_counters["events_processed"]
-        == coro_counters["events_processed"]
-    )
+    """Snooping and directory run entirely as flat machines: neither a
+    simulation (processors, misses, write-backs, snoop and bank
+    timers) nor a checker step spawns a single generator process."""
+    from repro.check.state import EngineHarness, Ref, StepSpec
+
+    spawned = []
+    original_spawn = Simulator.spawn
+
+    def counting_spawn(sim, body, name="process"):
+        spawned.append(name)
+        return original_spawn(sim, body, name)
+
+    monkeypatch.setattr(Simulator, "spawn", counting_spawn)
+    for protocol in (Protocol.SNOOPING, Protocol.DIRECTORY):
+        _serial_run(SweepPoint("mp3d", 8, protocol, REFS))
+
+        harness = EngineHarness(protocol.value, nodes=4, lines=2)
+        for step in (
+            StepSpec((Ref(0, 0, False),)),
+            StepSpec((Ref(2, 0, True), Ref(3, 1, False))),
+            StepSpec((Ref(0, 1, True),)),
+        ):
+            harness.apply(step)
+
+        # The entry point the harness uses hands back the flat
+        # machine, whose result is the transaction latency.
+        sim, engine = make_engine(protocol)
+        address = engine.address_map.shared_block_address(0)
+        miss = engine.spawn_miss(
+            1, address, engine.caches[1].classify(address, True)
+        )
+        assert isinstance(miss, RingMachine)
+        sim.run()
+        assert miss.result > 0 and miss.done.value == miss.result
+    assert spawned == []
 
 
 @pytest.mark.parametrize("protocol", [Protocol.SNOOPING, Protocol.DIRECTORY])

@@ -3,10 +3,10 @@
 The flat dispatch tables in ``repro.ring.flatring`` / ``flatsnooping``
 / ``flatdirectory`` exist to eliminate per-event object churn: no
 generator frames, no request objects, no ad-hoc ``Event`` allocation
-per kernel wait.  Equivalence with the coroutine engines is pinned
-behaviourally by ``tests/test_fastpath_equivalence.py``; this module
-pins the *structural* property with an AST lint over every handler
-reachable from a dispatch table:
+per kernel wait.  Their behaviour is pinned byte for byte by
+``tests/test_golden_regression.py`` and checked exhaustively by the
+explorer; this module pins the *structural* property with an AST lint
+over every handler reachable from a dispatch table:
 
 * no ``yield`` / ``yield from`` / ``await`` -- a handler is a plain
   function, never a resumable frame;

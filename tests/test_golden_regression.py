@@ -3,13 +3,22 @@
 The benchmark harness writes its rendered tables to
 ``benchmarks/output/*.txt``; those files are committed, so they pin
 the exact numbers every prior session produced.  These tests re-derive
-a cheap slice of two of them and compare against the parsed artefact:
+a cheap slice of two of them and compare against the parsed artefact,
+and pin both ring engines' full simulated output byte for byte:
 
 * one row of Table 1 (mp3d, 16 processors, full-map directory) --
   a real trace-driven simulation, so this catches any drift in trace
   generation, the protocol engines, or the simulation kernel;
 * all of Table 3 (snooping rate) -- closed-form slot geometry, checked
-  cell-for-cell exactly.
+  cell-for-cell exactly;
+* the complete serialised result (statistics, utilisations, latency
+  histograms) and kernel counters of mp3d at 16 processors under the
+  snooping and the full-map directory engines, compared as canonical
+  JSON text against ``tests/golden/engine_outputs.json`` (the kernel
+  counters are those of the default relay fast path;
+  ``REPRO_NO_FASTPATH=1`` changes them, not the result).  Regenerate
+  that file only for a deliberate behaviour change:
+  ``PYTHONPATH=src python tests/test_golden_regression.py --write``.
 
 Simulations are deterministic, so "tolerance" only needs to absorb the
 artefact's 1-decimal rendering (+/- 0.05 on each percentage).
@@ -18,17 +27,27 @@ artefact's 1-decimal rendering (+/- 0.05 on each percentage).
 from __future__ import annotations
 
 import importlib.util
+import json
 import pathlib
 import re
+import sys
 
 import pytest
 
 from repro.core.config import Protocol
-from repro.core.experiment import run_simulation_cached
+from repro.core.experiment import (
+    last_kernel_counters,
+    run_simulation,
+    run_simulation_cached,
+)
+from repro.core.store import result_to_jsonable
 from repro.models.snoop_rate import TABLE3_WIDTHS, snoop_rate_table
 
 BENCH_DIR = pathlib.Path(__file__).parent.parent / "benchmarks"
 OUTPUT_DIR = BENCH_DIR / "output"
+ENGINE_GOLDEN = pathlib.Path(__file__).parent / "golden" / "engine_outputs.json"
+#: Engines pinned by the engine-output golden (benchmark mp3d, 16p).
+GOLDEN_ENGINES = (Protocol.SNOOPING, Protocol.DIRECTORY)
 
 
 def _bench_constants():
@@ -113,3 +132,48 @@ def test_table3_snoop_rate_matches_golden():
                 f"ours {row[f'{width}-bit']} vs golden "
                 f"{golden_cells[block][width]}"
             )
+
+
+# ----------------------------------------------------------------------
+# Full engine output: mp3d, 16p, snooping and full map, byte for byte
+# ----------------------------------------------------------------------
+def _canonical(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=1)
+
+
+def _engine_output(protocol: Protocol) -> dict:
+    """Serialised result and kernel counters of one fresh simulation."""
+    result = run_simulation(
+        "mp3d",
+        num_processors=16,
+        protocol=protocol,
+        data_refs=_bench_constants().REFS_SPLASH,
+    )
+    return {
+        "result": result_to_jsonable(result),
+        "kernel": last_kernel_counters(),
+    }
+
+
+@pytest.mark.parametrize(
+    "protocol", GOLDEN_ENGINES, ids=[p.value for p in GOLDEN_ENGINES]
+)
+def test_engine_output_matches_golden(protocol):
+    assert ENGINE_GOLDEN.exists(), f"{ENGINE_GOLDEN} not checked in"
+    golden = json.loads(ENGINE_GOLDEN.read_text())[protocol.value]
+    assert _canonical(_engine_output(protocol)) == _canonical(golden), (
+        f"{protocol.value} engine output drifted from {ENGINE_GOLDEN.name}"
+    )
+
+
+def _write_engine_golden() -> None:
+    ENGINE_GOLDEN.parent.mkdir(exist_ok=True)
+    outputs = {p.value: _engine_output(p) for p in GOLDEN_ENGINES}
+    ENGINE_GOLDEN.write_text(_canonical(outputs) + "\n")
+    print(f"wrote {ENGINE_GOLDEN}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_golden_regression.py --write")
+    _write_engine_golden()

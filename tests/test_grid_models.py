@@ -14,9 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.core.config import Protocol, SystemConfig
 from repro.core.metrics import MissClass
@@ -37,10 +36,6 @@ from repro.models.snoop_rate import (
     TABLE3_BLOCK_SIZES,
     TABLE3_WIDTHS,
     snoop_interarrival_ns,
-)
-
-pytestmark = pytest.mark.skipif(
-    not grid_engine.grid_available(), reason="grid engine disabled"
 )
 
 #: The equivalence contract: every finite grid metric within this

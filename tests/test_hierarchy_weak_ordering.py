@@ -12,6 +12,7 @@ from repro.core.config import ProcessorConfig, Protocol, SystemConfig
 from repro.core.experiment import build_engine, run_simulation
 from repro.memory.states import CacheState
 from repro.proc.processor import TraceProcessor
+from repro.ring.flatring import spawn_trace_processor
 from repro.sim.kernel import Simulator
 from repro.traces.records import TraceRecord
 
@@ -40,7 +41,7 @@ def drive(protocol, weak, clusters=None, num_processors=8):
             ProcessorConfig(weak_ordering=weak),
         )
         processors.append(processor)
-        sim.spawn(processor.run())
+        spawn_trace_processor(sim, processor, name=f"cpu{node}")
     sim.run()
     return engine, processors, address
 

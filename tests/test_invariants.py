@@ -63,9 +63,7 @@ def drive(sim, engine, node: int, address: int, is_write: bool) -> None:
     outcome = engine.caches[node].classify(address, is_write)
     if outcome is AccessOutcome.HIT:
         return
-    sim.spawn(
-        engine.miss(node, address, outcome), name=f"ref:n{node}"
-    )
+    engine.spawn_miss(node, address, outcome, name=f"ref:n{node}")
     sim.run()
 
 
@@ -216,9 +214,7 @@ def test_randomized_concurrent_batches(protocol):
             outcome = engine.caches[node].classify(address, is_write)
             if outcome is AccessOutcome.HIT:
                 continue
-            sim.spawn(
-                engine.miss(node, address, outcome), name=f"batch:n{node}"
-            )
+            engine.spawn_miss(node, address, outcome, name=f"batch:n{node}")
             spawned += 1
         if spawned:
             sim.run()

@@ -5,6 +5,7 @@ import pytest
 from repro.core.config import ProcessorConfig, Protocol
 from repro.memory.address import SHARED_BASE
 from repro.proc.processor import TraceProcessor
+from repro.ring.flatring import spawn_trace_processor
 from repro.traces.records import TraceRecord
 from tests.conftest import make_engine
 
@@ -18,7 +19,7 @@ def run_processor(records, protocol=Protocol.SNOOPING, cycle_ps=20_000, node=0):
         iter(records),
         ProcessorConfig(cycle_ps=cycle_ps),
     )
-    sim.spawn(processor.run(), name="cpu")
+    spawn_trace_processor(sim, processor, name="cpu")
     sim.run()
     return sim, engine, processor
 
@@ -97,7 +98,7 @@ def test_batching_preserves_totals():
             iter(records),
             ProcessorConfig(cycle_ps=20_000, batch_refs=batch),
         )
-        sim.spawn(processor.run())
+        spawn_trace_processor(sim, processor, name="cpu")
         sim.run()
         totals.append(
             (

@@ -246,6 +246,26 @@ def test_event_stream_is_ordered_replayable_and_terminated(client):
     assert list(client.events(job["job"])) == events
 
 
+def test_pooled_daemon_first_stream_reaches_end_of_file(temp_store):
+    """With a worker pool, the first job's NDJSON stream must end.
+
+    The pool starts while that stream's socket is open; workers that
+    inherited the socket would keep the connection alive after the
+    daemon closed it, and the client would wait for end-of-file until
+    its read timeout.
+    """
+    served = ServeDaemon(port=0, jobs=2).start_in_thread()
+    try:
+        pooled = ServeClient(served.url, timeout=20.0)
+        job = pooled.submit(SWEEP_SPEC)
+        events = list(pooled.events(job["job"]))
+        assert events[-1]["event"] == "done"
+        assert events[-1]["simulated"] == 1
+    finally:
+        served.stop()
+        served.join(timeout=30)
+
+
 # ----------------------------------------------------------------------
 # Validation and error paths
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ from repro.core.config import ProcessorConfig, Protocol, SystemConfig
 from repro.core.experiment import build_engine, run_simulation
 from repro.memory.states import CacheState
 from repro.proc.processor import TraceProcessor
+from repro.ring.flatring import spawn_trace_processor
 from repro.sim.kernel import Simulator
 from repro.traces.records import TraceRecord
 
@@ -31,7 +32,7 @@ def run_trace(records, weak_ordering, num_processors=4, node=0):
         iter(records),
         ProcessorConfig(weak_ordering=weak_ordering),
     )
-    sim.spawn(processor.run())
+    spawn_trace_processor(sim, processor, name="cpu")
     sim.run()
     return sim, engine, processor
 
@@ -124,7 +125,7 @@ def test_weak_ordering_coherence_preserved_under_contention():
             ProcessorConfig(weak_ordering=True),
         )
         processors.append(processor)
-        sim.spawn(processor.run())
+        spawn_trace_processor(sim, processor, name="cpu")
     sim.run()
     engine.check_invariants()
     owners = [
