@@ -111,11 +111,6 @@ class RingSystemBase:
         if target_ps > self.sim.now:
             yield self.sim.timeout(target_ps - self.sim.now)
 
-    def probe_type_for(self, address: int) -> SlotType:
-        return self.layout.probe_type_for_parity(
-            self.address_map.parity_of(address)
-        )
-
     # ------------------------------------------------------------------
     # Per-block serialisation
     # ------------------------------------------------------------------
@@ -167,50 +162,37 @@ class RingSystemBase:
         A probe to oneself is free (no ring message): the current
         cycle is returned unchanged.
         """
-        if src == dst:
-            return self.scheduler.ps_to_next_cycle(self.sim.now)
-        distance = self.topology.distance(src, dst)
-        grant: SlotGrant = yield from self.scheduler.acquire(
-            src,
-            self.probe_type_for(address),
-            occupancy_cycles=distance,
-            removed_by=dst,
-        )
-        self.stats.probes_sent += 1
-        arrival = grant.grab_cycle + distance + self.layout.probe_stages
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.message(
-                self.scheduler.cycle_to_ps(grant.grab_cycle),
-                self.scheduler.cycle_to_ps(arrival - grant.grab_cycle),
-                self.trace_category,
-                "probe",
-                src,
-                dst,
-            )
-        yield from self.wait_until_cycle(arrival)
-        return arrival
+        parity = self.address_map.parity_of(address)
+        probe_type = self.layout.probe_type_for_parity(parity)
+        return (yield from self._unicast(src, dst, probe_type))
 
     def send_block(self, src: int, dst: int) -> Step:
         """Unicast a block message; returns tail-arrival cycle at ``dst``."""
+        return (yield from self._unicast(src, dst, SlotType.BLOCK))
+
+    def _unicast(self, src: int, dst: int, slot_type: SlotType) -> Step:
         if src == dst:
             return self.scheduler.ps_to_next_cycle(self.sim.now)
         distance = self.topology.distance(src, dst)
         grant: SlotGrant = yield from self.scheduler.acquire(
-            src,
-            SlotType.BLOCK,
-            occupancy_cycles=distance,
-            removed_by=dst,
+            src, slot_type, occupancy_cycles=distance, removed_by=dst
         )
-        self.stats.blocks_sent += 1
-        arrival = grant.grab_cycle + distance + self.layout.block_stages
+        if slot_type is SlotType.BLOCK:
+            self.stats.blocks_sent += 1
+            label = "block"
+        else:
+            self.stats.probes_sent += 1
+            label = "probe"
+        arrival = (
+            grant.grab_cycle + distance + self.layout.stages_of(slot_type)
+        )
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.message(
                 self.scheduler.cycle_to_ps(grant.grab_cycle),
                 self.scheduler.cycle_to_ps(arrival - grant.grab_cycle),
                 self.trace_category,
-                "block",
+                label,
                 src,
                 dst,
             )

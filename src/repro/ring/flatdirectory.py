@@ -108,7 +108,7 @@ def _dir_read_begin(proc: RingMachine) -> int:
 
 
 def _dir_read_probed(proc: RingMachine, value: Any) -> int:
-    proc.arcs += proc.engine.topology.distance(proc.node, proc.home)
+    proc.arcs += proc.engine.topology.distances[proc.node][proc.home]
     return _dir_read_lookup(proc)
 
 
@@ -161,7 +161,7 @@ def _dir_read_mem(proc: RingMachine, value: Any) -> int:
 
 
 def _dir_read_block(proc: RingMachine, value: Any) -> int:
-    proc.arcs += proc.engine.topology.distance(proc.home, proc.node)
+    proc.arcs += proc.engine.topology.distances[proc.home][proc.node]
     return _dir_read_clean_commit(proc)
 
 
@@ -199,7 +199,7 @@ def _dir_write_begin(proc: RingMachine) -> int:
 
 
 def _dir_write_probed(proc: RingMachine, value: Any) -> int:
-    proc.arcs += proc.engine.topology.distance(proc.node, proc.home)
+    proc.arcs += proc.engine.topology.distances[proc.node][proc.home]
     return _dir_write_lookup(proc)
 
 
@@ -278,7 +278,7 @@ def _dir_write_reply(proc: RingMachine) -> int:
 
 
 def _dir_write_block(proc: RingMachine, value: Any) -> int:
-    proc.arcs += proc.engine.topology.distance(proc.home, proc.node)
+    proc.arcs += proc.engine.topology.distances[proc.home][proc.node]
     return _dir_write_clean_commit(proc)
 
 
@@ -310,7 +310,7 @@ def _dir_upgrade_begin(proc: RingMachine) -> int:
 
 
 def _dir_upg_probed(proc: RingMachine, value: Any) -> int:
-    proc.arcs += proc.engine.topology.distance(proc.node, proc.home)
+    proc.arcs += proc.engine.topology.distances[proc.node][proc.home]
     return _dir_upg_lookup(proc)
 
 
@@ -348,7 +348,7 @@ def _dir_upg_reply(proc: RingMachine) -> int:
 
 
 def _dir_upg_acked(proc: RingMachine, value: Any) -> int:
-    proc.arcs += proc.engine.topology.distance(proc.home, proc.node)
+    proc.arcs += proc.engine.topology.distances[proc.home][proc.node]
     return _dir_upg_commit(proc)
 
 
@@ -417,7 +417,7 @@ def _dir_fetch_fwd(proc: RingMachine, value: Any) -> int:
     sim = proc._sim
     home = proc.home
     owner = proc.owner
-    proc.arcs += engine.topology.distance(home, owner)
+    proc.arcs += engine.topology.distances[home][owner]
     engine.stats.forwards += 1
     tracer = sim.tracer
     if tracer is not None:
@@ -446,7 +446,7 @@ def _dir_fetch_send(proc: RingMachine, value: Any) -> int:
 
 
 def _dir_fetch_arrived(proc: RingMachine, value: Any) -> int:
-    proc.arcs += proc.engine.topology.distance(proc.owner, proc.node)
+    proc.arcs += proc.engine.topology.distances[proc.owner][proc.node]
     return _chain(proc, proc.fetch_ret)
 
 

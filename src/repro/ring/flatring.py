@@ -62,7 +62,7 @@ from repro.core.metrics import MissClass
 from repro.memory.address import SHARED_BASE
 from repro.memory.cache import AccessOutcome
 from repro.memory.states import ALLOWED_TRANSITIONS, CacheState, IllegalTransition
-from repro.ring.slots import SlotType
+from repro.ring.scheduler import BLOCK_LANE, SlotLane
 from repro.sim.flatcore import OP_DONE, OP_EVENT, OP_TIMEOUT, FlatProcess
 
 __all__ = [
@@ -84,7 +84,6 @@ _READ_MISS = AccessOutcome.READ_MISS
 _RS = CacheState.RS
 _WE = CacheState.WE
 _PRIVATE = MissClass.PRIVATE
-_BLOCK = SlotType.BLOCK
 _MSG_LABELS = ("probe", "block")
 
 
@@ -166,15 +165,12 @@ class RingMachine(FlatProcess):
         "msg_ret",
         # slot-acquire sub-machine
         "acq_node",
-        "acq_slot_type",
+        "acq_lane",
         "acq_occ",
         "acq_removed_by",
         "acq_ret",
-        "acq_stage",
         "acq_search",
         "acq_start_cycle",
-        "acq_bases",
-        "acq_period",
         "acq_slot",
         "acq_arrival",
         "acq_grab",
@@ -223,15 +219,12 @@ class RingMachine(FlatProcess):
         self.msg_kind = 0
         self.msg_ret = 0
         self.acq_node = 0
-        self.acq_slot_type = None
+        self.acq_lane = None
         self.acq_occ = 0
         self.acq_removed_by = None
         self.acq_ret = 0
-        self.acq_stage = 0
         self.acq_search = 0
         self.acq_start_cycle = 0
-        self.acq_bases = None
-        self.acq_period = None
         self.acq_slot = None
         self.acq_arrival = 0
         self.acq_grab = 0
@@ -469,36 +462,21 @@ def _private_fill(proc: RingMachine, value: Any) -> int:
 def _begin_acquire(
     proc: RingMachine,
     acq_node: int,
-    slot_type: SlotType,
+    lane: SlotLane,
     occupancy: int,
     removed_by: Optional[int],
     ret_state: int,
 ) -> int:
     if occupancy <= 0:
         raise ValueError("occupancy_cycles must be positive")
-    sched = proc.sched
     proc.acq_node = acq_node
-    proc.acq_slot_type = slot_type
+    proc.acq_lane = lane
     proc.acq_occ = occupancy
     proc.acq_removed_by = removed_by
     proc.acq_ret = ret_state
-    stage = sched.topology.node_stage(acq_node)
-    proc.acq_stage = stage
-    start_cycle = -(-proc._sim.now // sched.clock_ps)
+    start_cycle = -(-proc._sim.now // proc.sched.clock_ps)
     proc.acq_start_cycle = start_cycle
     proc.acq_search = start_cycle
-    period = sched._relay_period[slot_type] if sched.fastpath else None
-    proc.acq_period = period
-    if period is not None:
-        key = (slot_type, stage)
-        bases = sched._arrival_bases.get(key)
-        if bases is None:
-            total = sched.topology.total_stages
-            bases = sched._arrival_bases[key] = [
-                ((stage - candidate.initial_head) % total, candidate)
-                for candidate in sched._slots[slot_type]
-            ]
-        proc.acq_bases = bases
     return _acq_try(proc, None)
 
 
@@ -509,53 +487,31 @@ def _acq_try(proc: RingMachine, value: Any) -> int:
     sim = proc._sim
     clock_ps = sched.clock_ps
     search_from = proc.acq_search
-    period = proc.acq_period
+    lane = proc.acq_lane
+    period = lane.period
     if period is not None:
-        # Fast path: identical prediction arithmetic to the generator,
-        # relay-sleeping over non-grabbable arrivals (one kernel
-        # sequence number per skipped arrival, drawn at its own pop).
-        total = sched.topology.total_stages
-        fairness = sched.enforce_fairness
-        acq_node = proc.acq_node
-        arrival = slot = None
-        for base, candidate in proc.acq_bases:
-            free_at = candidate.free_at_cycle
-            lower = free_at if free_at > search_from else search_from
-            if base >= lower:
-                candidate_arrival = base
-            else:
-                candidate_arrival = (
-                    base + (lower - base + total - 1) // total * total
-                )
-            if (
-                fairness
-                and candidate_arrival == free_at
-                and candidate.freed_by == acq_node
-            ):
-                candidate_arrival += total
-            if arrival is None or candidate_arrival < arrival:
-                arrival = candidate_arrival
-                slot = candidate
+        # Fast path: the generator's prediction, relay-sleeping over
+        # non-grabbable arrivals (one kernel sequence number per
+        # skipped arrival, drawn at its own pop).
         now_cycle = -(-sim.now // clock_ps)
+        arrival, slot, wake = sched._predict(
+            lane, proc.acq_node, search_from, now_cycle
+        )
         proc.acq_slot = slot
         proc.acq_arrival = arrival
         if arrival > now_cycle:
-            lower = search_from
-            if lower <= now_cycle:
-                lower = now_cycle + 1
-            first = arrival - (arrival - lower) // period * period
             proc.state = S_ACQ_WAKE
-            if first == arrival:
+            if wake == arrival:
                 proc.f_delay = arrival * clock_ps - sim.now
                 return OP_TIMEOUT
             return proc.relay(
-                first * clock_ps, period * clock_ps, arrival * clock_ps
+                wake * clock_ps, period * clock_ps, arrival * clock_ps
             )
         return _acq_wake(proc, None)
     # Reference path (--no-fastpath): wake at every slot arrival.
-    stage = proc.acq_stage
+    stage = lane.stage
     arrival = slot = None
-    for candidate in sched._slots[proc.acq_slot_type]:
+    for candidate in sched._kind_slots[lane.kind]:
         candidate_arrival = sched.next_arrival(candidate, stage, search_from)
         if arrival is None or candidate_arrival < arrival:
             arrival = candidate_arrival
@@ -576,16 +532,16 @@ def _acq_wake(proc: RingMachine, value: Any) -> int:
     arrival = proc.acq_arrival
     acq_node = proc.acq_node
     if sched._grabbable(slot, acq_node, arrival):
-        grant = sched._grant(
+        sched._grant(
+            proc.acq_lane,
             slot,
-            proc.acq_slot_type,
             acq_node,
             arrival,
             proc.acq_occ,
             proc.acq_start_cycle,
             proc.acq_removed_by,
         )
-        proc.acq_grab = grant.grab_cycle
+        proc.acq_grab = arrival
         return _chain(proc, proc.acq_ret)
     proc.acq_search = arrival + 1
     return _acq_try(proc, None)
@@ -600,16 +556,15 @@ def _begin_send_probe(
     if src == dst:
         return _chain(proc, ret_state)  # probe to oneself is free
     engine = proc.engine
-    distance = engine.topology.distance(src, dst)
+    distance = engine.topology.distances[src][dst]
     proc.msg_src = src
     proc.msg_dst = dst
     proc.msg_distance = distance
     proc.msg_stages = engine.layout.probe_stages
     proc.msg_kind = 0
     proc.msg_ret = ret_state
-    return _begin_acquire(
-        proc, src, engine.probe_type_for(address), distance, dst, S_SEND_GRANTED
-    )
+    lane = proc.sched.node_lanes[src][engine.address_map.parity_of(address)]
+    return _begin_acquire(proc, src, lane, distance, dst, S_SEND_GRANTED)
 
 
 def _begin_send_block(
@@ -618,14 +573,15 @@ def _begin_send_block(
     if src == dst:
         return _chain(proc, ret_state)
     engine = proc.engine
-    distance = engine.topology.distance(src, dst)
+    distance = engine.topology.distances[src][dst]
     proc.msg_src = src
     proc.msg_dst = dst
     proc.msg_distance = distance
     proc.msg_stages = engine.layout.block_stages
     proc.msg_kind = 1
     proc.msg_ret = ret_state
-    return _begin_acquire(proc, src, _BLOCK, distance, dst, S_SEND_GRANTED)
+    lane = proc.sched.node_lanes[src][BLOCK_LANE]
+    return _begin_acquire(proc, src, lane, distance, dst, S_SEND_GRANTED)
 
 
 def _send_granted(proc: RingMachine, value: Any) -> int:
@@ -663,7 +619,7 @@ def _begin_broadcast(
     return _begin_acquire(
         proc,
         src,
-        engine.probe_type_for(address),
+        proc.sched.node_lanes[src][engine.address_map.parity_of(address)],
         engine.topology.total_stages,
         src,
         S_BCAST_GRANTED,
@@ -800,7 +756,7 @@ def _mc_granted(proc: RingMachine, value: Any) -> int:
     block = proc.block
     for target in proc.targets:
         engine.schedule_invalidate(
-            target, address, grab + topology.distance(home, target)
+            target, address, grab + topology.distances[home][target]
         )
         directory.remove_sharer(block, target)
     tracer = proc._sim.tracer

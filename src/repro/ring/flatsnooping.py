@@ -151,7 +151,7 @@ def _sn_lcw_granted(proc: RingMachine, value: Any) -> int:
     topology = engine.topology
     for sharer in engine.sharers_other_than(address, node):
         engine.schedule_invalidate(
-            sharer, address, grab + topology.distance(node, sharer)
+            sharer, address, grab + topology.distances[node][sharer]
         )
     proc.f_event = engine.banks[node].access()
     proc.state = SN_LCW_MEM
@@ -187,13 +187,13 @@ def _sn_remote_granted(proc: RingMachine, value: Any) -> int:
     grab = proc.grant_cycle
     topology = engine.topology
     supplier = proc.supplier
-    owner_cycle = grab + topology.distance(node, supplier)
+    owner_cycle = grab + topology.distances[node][supplier]
 
     # Snoop side effects as the probe sweeps the ring.
     if proc.is_write:
         for sharer in engine.sharers_other_than(address, node):
             engine.schedule_invalidate(
-                sharer, address, grab + topology.distance(node, sharer)
+                sharer, address, grab + topology.distances[node][sharer]
             )
     elif proc.dirty and supplier != node:
         engine.schedule_downgrade(supplier, address, owner_cycle)
@@ -275,7 +275,7 @@ def _sn_upg_granted(proc: RingMachine, value: Any) -> int:
     topology = engine.topology
     for sharer in proc.sharers:
         engine.schedule_invalidate(
-            sharer, address, grab + topology.distance(node, sharer)
+            sharer, address, grab + topology.distances[node][sharer]
         )
     sched = proc.sched
     ack_cycle = grab + sched.broadcast_cycles() + sched.ack_delay_cycles()

@@ -173,22 +173,19 @@ class HierarchicalRingSystem:
     # ------------------------------------------------------------------
     def _local_broadcast(self, cluster: int, position: int, address: int) -> Step:
         """Broadcast a probe on one local ring; returns the grant."""
-        grant: SlotGrant = yield from self.local_schedulers[cluster].acquire(
-            position,
-            self.probe_type_for(address),
-            occupancy_cycles=self.local_topology.total_stages,
-            removed_by=position,
-        )
-        self.stats.probes_sent += 1
-        self.stats.broadcast_probes += 1
-        return grant
+        return self._broadcast(self.local_schedulers[cluster], position, address)
 
     def _global_broadcast(self, cluster: int, address: int) -> Step:
-        grant: SlotGrant = yield from self.global_scheduler.acquire(
-            cluster,
+        return self._broadcast(self.global_scheduler, cluster, address)
+
+    def _broadcast(
+        self, scheduler: SlotScheduler, position: int, address: int
+    ) -> Step:
+        grant: SlotGrant = yield from scheduler.acquire(
+            position,
             self.probe_type_for(address),
-            occupancy_cycles=self.global_topology.total_stages,
-            removed_by=cluster,
+            occupancy_cycles=scheduler.topology.total_stages,
+            removed_by=position,
         )
         self.stats.probes_sent += 1
         self.stats.broadcast_probes += 1
@@ -196,26 +193,17 @@ class HierarchicalRingSystem:
 
     def _local_block(self, cluster: int, src: int, dst: int) -> Step:
         """Block message on a local ring; returns tail-arrival cycle."""
-        if src == dst:
-            return self.local_schedulers[cluster].ps_to_next_cycle(self.sim.now)
-        distance = self.local_topology.distance(src, dst)
-        grant: SlotGrant = yield from self.local_schedulers[cluster].acquire(
-            src, SlotType.BLOCK, occupancy_cycles=distance, removed_by=dst
-        )
-        self.stats.blocks_sent += 1
-        arrival = grant.grab_cycle + distance + self.layout.block_stages
-        yield from self.wait_until_cycle(arrival)
-        return arrival
+        return self._block(self.local_schedulers[cluster], src, dst)
 
     def _global_block(self, src_cluster: int, dst_cluster: int) -> Step:
-        if src_cluster == dst_cluster:
-            return self.global_scheduler.ps_to_next_cycle(self.sim.now)
-        distance = self.global_topology.distance(src_cluster, dst_cluster)
-        grant: SlotGrant = yield from self.global_scheduler.acquire(
-            src_cluster,
-            SlotType.BLOCK,
-            occupancy_cycles=distance,
-            removed_by=dst_cluster,
+        return self._block(self.global_scheduler, src_cluster, dst_cluster)
+
+    def _block(self, scheduler: SlotScheduler, src: int, dst: int) -> Step:
+        if src == dst:
+            return scheduler.ps_to_next_cycle(self.sim.now)
+        distance = scheduler.topology.distance(src, dst)
+        grant: SlotGrant = yield from scheduler.acquire(
+            src, SlotType.BLOCK, occupancy_cycles=distance, removed_by=dst
         )
         self.stats.blocks_sent += 1
         arrival = grant.grab_cycle + distance + self.layout.block_stages

@@ -32,18 +32,26 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.sim.kernel import Relay, Simulator, Timeout
 from repro.ring.slots import FrameLayout, SlotType
 from repro.ring.topology import RingTopology
 
 __all__ = [
+    "BLOCK_LANE",
     "CirculatingSlot",
+    "GrantCounters",
     "SlotGrant",
+    "SlotLane",
     "SlotScheduler",
     "fastpath_enabled",
 ]
+
+
+#: Index of the block lane in each :attr:`SlotScheduler.node_lanes`
+#: entry (the probe lanes sit at their address parity, 0 and 1).
+BLOCK_LANE = 2
 
 
 def fastpath_enabled() -> bool:
@@ -93,6 +101,44 @@ class SlotGrant:
         return self.release_cycle - self.grab_cycle
 
 
+@dataclass(slots=True)
+class GrantCounters:
+    """Grant statistics of one slot type: slot-cycles and messages
+    granted, and cycles senders waited."""
+
+    cycles: int = 0
+    messages: int = 0
+    wait: int = 0
+
+    def __deepcopy__(self, memo: dict) -> "GrantCounters":
+        return GrantCounters(self.cycles, self.messages, self.wait)
+
+
+@dataclass(frozen=True, slots=True)
+class SlotLane:
+    """The arrivals of one slot type at one ring stage, resolved once.
+
+    With ``period`` set (the fast path, see :meth:`SlotScheduler.
+    _predict`) they form the progression ``first + k * period``, the
+    arrival at step ``k`` being that of the type's slot ``order[k mod
+    n]``.  A lane holds geometry only (slot indexes, not slots), so it
+    is immutable and every copy of its scheduler shares it.
+    """
+
+    #: Position of the slot type in the scheduler's per-kind tables.
+    kind: int
+    stage: int
+    period: Optional[int]
+    first: int
+    #: Indexes of the type's slots, in arrival order.
+    order: Tuple[int, ...]
+    #: The type's ``SlotType.value``, for the telemetry hooks.
+    label: str
+
+    def __deepcopy__(self, memo: dict) -> "SlotLane":
+        return self
+
+
 class SlotScheduler:
     """Grants slots to senders and tracks occupancy statistics."""
 
@@ -114,39 +160,49 @@ class SlotScheduler:
         self.enforce_fairness = enforce_fairness
         self.fastpath = fastpath_enabled() if fastpath is None else fastpath
         self._slots: Dict[SlotType, List[CirculatingSlot]] = {
-            SlotType.PROBE_EVEN: [],
-            SlotType.PROBE_ODD: [],
-            SlotType.BLOCK: [],
+            t: [] for t in SlotType
         }
         self._build_slots()
-        #: Per slot type: the cycle spacing between consecutive arrivals
-        #: of *any* slot of that type at a fixed stage, when that
-        #: spacing is uniform (type appears exactly once per frame and
-        #: the frames tile the ring exactly) -- the relay fast path's
-        #: hop grid.  ``None`` disables the fast path for the type
-        #: (e.g. ablation layouts with several probe slots per frame,
-        #: whose arrivals are not evenly spaced).
-        counts = {t: 0 for t in SlotType}
-        for offset_type, _ in self.layout.slot_offsets():
-            counts[offset_type] += 1
-        tiles = (
-            self.topology.total_stages
-            == self.topology.num_frames * self.layout.frame_stages
+        #: Grant statistics per slot type.
+        self.counters = {t: GrantCounters() for t in SlotType}
+        kinds = (*map(layout.probe_type_for_parity, (0, 1)), SlotType.BLOCK)
+        self._kind_index = {t: kind for kind, t in enumerate(kinds)}
+        #: Per lane kind: the type's slots and grant counters.
+        self._kind_slots = [self._slots[t] for t in kinds]
+        self._kind_counters = [self.counters[t] for t in kinds]
+        # The relay fast path needs the arrivals of a type at a fixed
+        # stage uniformly spaced: the type appears exactly once per
+        # frame and the frames tile the ring exactly.  Other layouts
+        # (ablations with several probe slots per frame) take the
+        # reference path.
+        frames = self.topology.num_frames
+        tiles = self.topology.total_stages == frames * layout.frame_stages
+        #: Per node, a :class:`SlotLane` per slot type: the probe lanes
+        #: indexed by block address parity, then the block lane at
+        #: :data:`BLOCK_LANE` -- so hot paths never hash a SlotType.
+        self.node_lanes = [
+            tuple(
+                self._make_lane(
+                    kind, node, self.fastpath and tiles and len(slots) == frames
+                )
+                for kind, slots in enumerate(self._kind_slots)
+            )
+            for node in range(self.topology.num_nodes)
+        ]
+
+    def _make_lane(self, kind: int, node: int, uniform: bool) -> SlotLane:
+        stage = self.topology.node_stage(node)
+        total = self.topology.total_stages
+        slots = self._kind_slots[kind]
+        bases = sorted(((stage - s.initial_head) % total, s.index) for s in slots)
+        return SlotLane(
+            kind,
+            stage,
+            self.layout.frame_stages if uniform else None,
+            bases[0][0],
+            tuple(index for _, index in bases),
+            slots[0].slot_type.value,
         )
-        self._relay_period: Dict[SlotType, Optional[int]] = {
-            t: self.layout.frame_stages if counts[t] == 1 and tiles else None
-            for t in SlotType
-        }
-        #: Memoised per (slot type, stage): ``[(base, slot), ...]``
-        #: where ``base`` is the first cycle the slot head passes the
-        #: stage -- the static part of :meth:`next_arrival`, hoisted
-        #: out of the acquire hot loop.
-        self._arrival_bases: Dict[Any, list] = {}
-        #: (messages, slot-cycles) granted per type, for utilisation.
-        self.granted_cycles: Dict[SlotType, int] = {t: 0 for t in SlotType}
-        self.granted_messages: Dict[SlotType, int] = {t: 0 for t in SlotType}
-        #: Cycles senders spent waiting for a free slot, per type.
-        self.wait_cycles: Dict[SlotType, int] = {t: 0 for t in SlotType}
 
     def _build_slots(self) -> None:
         offsets = self.layout.slot_offsets()
@@ -161,6 +217,11 @@ class SlotScheduler:
                         initial_head=(base + offset) % self.topology.total_stages,
                     )
                 )
+
+    def lane(self, node: int, slot_type: SlotType) -> SlotLane:
+        """The arrivals of ``slot_type`` at ``node``'s stage."""
+        self.topology._check_node(node)
+        return self.node_lanes[node][self._kind_index[slot_type]]
 
     # ------------------------------------------------------------------
     # Time arithmetic
@@ -189,6 +250,50 @@ class SlotScheduler:
     # ------------------------------------------------------------------
     # Acquisition
     # ------------------------------------------------------------------
+    def _predict(
+        self, lane: SlotLane, node: int, search_from: int, now_cycle: int
+    ) -> Tuple[int, CirculatingSlot, int]:
+        """The fast path's prediction, shared by both acquire paths:
+        ``(arrival, slot, wake)`` for the earliest arrival at or after
+        ``search_from`` that ``node`` may grab *per current slot state*.
+
+        The lane's arrivals form one progression, so walking it in time
+        order answers at the first grabbable step -- the same pair a
+        min-scan over every slot returns, since arrival times at a
+        stage are distinct.  A revolution visits every slot once.  If
+        none is grabbable in it (all busy past it, or the one pass the
+        fairness rule blocks), none is before the earliest release
+        either, so the walk resumes there; the slot released first is
+        grabbable within the next two revolutions.
+
+        ``wake`` is the first arrival the reference loop would sleep to
+        on the way, when ``arrival`` is after ``now_cycle``: it checks
+        the arrivals up to now inline, without sleeping.
+        """
+        period = lane.period
+        start = lane.first
+        order = lane.order
+        count = len(order)
+        slots = self._kind_slots[lane.kind]
+        fairness = self.enforce_fairness
+        lower = search_from if search_from > now_cycle else now_cycle + 1
+        while True:
+            step = -(-(search_from - start) // period) if search_from > start else 0
+            arrival = start + step * period
+            index = step % count
+            for _ in range(count):
+                slot = slots[order[index]]
+                free_at = slot.free_at_cycle
+                if arrival > free_at or (
+                    arrival == free_at and not (fairness and slot.freed_by == node)
+                ):
+                    return arrival, slot, arrival - (arrival - lower) // period * period
+                arrival += period
+                index += 1
+                if index == count:
+                    index = 0
+            search_from = max(arrival, min(slot.free_at_cycle for slot in slots))
+
     def acquire(
         self,
         node: int,
@@ -207,11 +312,10 @@ class SlotScheduler:
         """
         if occupancy_cycles <= 0:
             raise ValueError("occupancy_cycles must be positive")
-        stage = self.topology.node_stage(node)
-        slots = self._slots[slot_type]
+        lane = self.lane(node, slot_type)
         start_cycle = self.ps_to_next_cycle(self.sim.now)
         search_from = start_cycle
-        period = self._relay_period[slot_type] if self.fastpath else None
+        period = lane.period
         if period is not None:
             # Fast path: predict the earliest arrival that is grabbable
             # *per current slot state* and relay-sleep straight to it.
@@ -237,128 +341,83 @@ class SlotScheduler:
             # engine-turn order) is bit-identical to polling while the
             # dead arrivals cost one heap push each instead of a full
             # generator resume plus this loop body.
-            total = self.topology.total_stages
-            fairness = self.enforce_fairness
             clock_ps = self.clock_ps
             step_ps = period * clock_ps
             sim = self.sim
-            key = (slot_type, stage)
-            bases = self._arrival_bases.get(key)
-            if bases is None:
-                bases = self._arrival_bases[key] = [
-                    ((stage - candidate.initial_head) % total, candidate)
-                    for candidate in slots
-                ]
             while True:
-                arrival = slot = None
-                for base, candidate in bases:
-                    free_at = candidate.free_at_cycle
-                    lower = free_at if free_at > search_from else search_from
-                    if base >= lower:
-                        candidate_arrival = base
-                    else:
-                        candidate_arrival = (
-                            base + (lower - base + total - 1) // total * total
-                        )
-                    if (
-                        fairness
-                        and candidate_arrival == free_at
-                        and candidate.freed_by == node
-                    ):
-                        # The anti-starvation rule blocks this exact
-                        # pass; the next chance is one revolution on.
-                        candidate_arrival += total
-                    if arrival is None or candidate_arrival < arrival:
-                        arrival = candidate_arrival
-                        slot = candidate
                 now_cycle = -(-sim.now // clock_ps)
+                arrival, slot, wake = self._predict(
+                    lane, node, search_from, now_cycle
+                )
                 if arrival > now_cycle:
-                    # First arrival the reference loop would sleep to:
-                    # arrivals of this type form one arithmetic
-                    # progression (step ``period``), and the reference
-                    # checks members <= now inline without sleeping.
-                    lower = search_from
-                    if lower <= now_cycle:
-                        lower = now_cycle + 1
-                    first = arrival - (arrival - lower) // period * period
-                    if first == arrival:
+                    if wake == arrival:
                         yield Timeout(arrival * clock_ps - sim.now)
                     else:
                         yield Relay(
-                            first * clock_ps, step_ps, arrival * clock_ps
+                            wake * clock_ps, step_ps, arrival * clock_ps
                         )
                 if self._grabbable(slot, node, arrival):
-                    return self._grant(
-                        slot,
-                        slot_type,
-                        node,
-                        arrival,
-                        occupancy_cycles,
-                        start_cycle,
-                        removed_by,
-                    )
+                    break
                 search_from = arrival + 1
-        while True:
-            # Reference path (--no-fastpath): wake at every slot
-            # arrival and poll.  Kept verbatim for bisection against
-            # the fast path above.
-            arrival, slot = min(
-                (self.next_arrival(candidate, stage, search_from), candidate)
-                for candidate in slots
-            )
-            now_cycle = self.ps_to_next_cycle(self.sim.now)
-            if arrival > now_cycle:
-                yield self.sim.timeout(
-                    self.cycle_to_ps(arrival) - self.sim.now
+        else:
+            stage = lane.stage
+            while True:
+                # Reference path (--no-fastpath): wake at every slot
+                # arrival and poll.  Kept verbatim for bisection against
+                # the fast path above.
+                arrival, slot = min(
+                    (self.next_arrival(candidate, stage, search_from), candidate)
+                    for candidate in self._slots[slot_type]
                 )
-            if self._grabbable(slot, node, arrival):
-                return self._grant(
-                    slot,
-                    slot_type,
-                    node,
-                    arrival,
-                    occupancy_cycles,
-                    start_cycle,
-                    removed_by,
-                )
-            search_from = arrival + 1
+                now_cycle = self.ps_to_next_cycle(self.sim.now)
+                if arrival > now_cycle:
+                    yield self.sim.timeout(
+                        self.cycle_to_ps(arrival) - self.sim.now
+                    )
+                if self._grabbable(slot, node, arrival):
+                    break
+                search_from = arrival + 1
+        release = self._grant(
+            lane, slot, node, arrival, occupancy_cycles, start_cycle, removed_by
+        )
+        return SlotGrant(slot=slot, grab_cycle=arrival, release_cycle=release)
 
     def _grant(
         self,
+        lane: SlotLane,
         slot: CirculatingSlot,
-        slot_type: SlotType,
         node: int,
         arrival: int,
         occupancy_cycles: int,
         start_cycle: int,
         removed_by: Optional[int],
-    ) -> SlotGrant:
-        """Record a successful grab (shared by both acquire paths)."""
+    ) -> int:
+        """Record a successful grab (shared by both acquire paths);
+        returns the release cycle."""
         release = arrival + occupancy_cycles
         slot.free_at_cycle = release
         slot.freed_by = removed_by
         slot.busy_cycles += occupancy_cycles
         slot.grabs += 1
         waited = arrival - start_cycle
-        self.granted_cycles[slot_type] += occupancy_cycles
-        self.granted_messages[slot_type] += 1
-        self.wait_cycles[slot_type] += waited
+        counters = self._kind_counters[lane.kind]
+        counters.cycles += occupancy_cycles
+        counters.messages += 1
+        counters.wait += waited
         histograms = self.sim.histograms
         if histograms is not None:
-            histograms.record_slot_grant(
-                slot_type.value, occupancy_cycles, waited
-            )
+            histograms.record_slot_grant(lane.label, occupancy_cycles, waited)
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.slot_grant(
                 self.cycle_to_ps(arrival),
                 self.cycle_to_ps(occupancy_cycles),
-                slot_type.value,
+                lane.label,
                 slot.index,
                 node,
                 waited,
             )
-        return SlotGrant(slot=slot, grab_cycle=arrival, release_cycle=release)
+        return release
 
     def _grabbable(self, slot: CirculatingSlot, node: int, cycle: int) -> bool:
         if cycle < slot.free_at_cycle:
@@ -403,7 +462,7 @@ class SlotScheduler:
         capacity = len(self._slots[slot_type]) * cycles
         if capacity <= 0:
             return 0.0
-        return min(1.0, self.granted_cycles[slot_type] / capacity)
+        return min(1.0, self.counters[slot_type].cycles / capacity)
 
     def aggregate_utilization(self, elapsed_ps: int) -> float:
         """Stage-weighted average slot utilisation (the paper's 'ring
@@ -420,14 +479,12 @@ class SlotScheduler:
 
     def reset_statistics(self) -> None:
         """Zero the grant/wait counters (start of a measurement window)."""
-        for slot_type in SlotType:
-            self.granted_cycles[slot_type] = 0
-            self.granted_messages[slot_type] = 0
-            self.wait_cycles[slot_type] = 0
+        for counters in self.counters.values():
+            counters.cycles = counters.messages = counters.wait = 0
 
     def mean_wait_cycles(self, slot_type: SlotType) -> float:
         """Average cycles senders waited for a slot of this type."""
-        messages = self.granted_messages[slot_type]
-        if not messages:
+        counters = self.counters[slot_type]
+        if not counters.messages:
             return 0.0
-        return self.wait_cycles[slot_type] / messages
+        return counters.wait / counters.messages

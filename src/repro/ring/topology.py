@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Tuple
 
 from repro.ring.slots import FrameLayout
 
@@ -34,6 +35,10 @@ class RingTopology:
     num_nodes: int
     frame_stages: int
     stages_per_node: int = STAGES_PER_NODE
+
+    def __deepcopy__(self, memo: dict) -> "RingTopology":
+        # Immutable (its cached geometry included): copies share it.
+        return self
 
     def __post_init__(self) -> None:
         if self.num_nodes < 2:
@@ -101,10 +106,19 @@ class RingTopology:
         """
         self._check_node(src)
         self._check_node(dst)
-        if src == dst:
-            return self.total_stages
-        gap = (self.node_stage(dst) - self.node_stage(src)) % self.total_stages
-        return gap
+        return self.distances[src][dst]
+
+    @cached_property
+    def distances(self) -> Tuple[Tuple[int, ...], ...]:
+        """:meth:`distance` as a table, ``distances[src][dst]``, for hot
+        paths whose nodes are valid by construction."""
+        total = self.total_stages
+        spacing = self.stages_per_node
+        nodes = range(self.num_nodes)
+        return tuple(
+            tuple((dst - src) * spacing % total or total for dst in nodes)
+            for src in nodes
+        )
 
     def is_on_path(self, src: int, via: int, dst: int) -> bool:
         """Whether ``via`` lies strictly between ``src`` and ``dst``.

@@ -284,8 +284,13 @@ class SyntheticTraceGenerator:
         """The trace for processor ``node``: ``data_refs`` records."""
         if not 0 <= node < self.spec.processors:
             raise ValueError(f"node {node} out of range")
-        spec = self.spec
+        instr_per_data = self.spec.instr_per_data
         rng = DeterministicRng(self.seed, stream=node)
+        # Per-reference draws bound once: ``random() < p`` is
+        # ``rng.bernoulli(p)``, ``randrange(n)`` is ``rng.randint(0, n-1)``.
+        random = rng._random.random
+        randrange = rng._random.randrange
+        new_record = tuple.__new__
         block_size = self.address_map.block_size
         word_slots = max(1, block_size // 4)
         instr_carry = 0.0
@@ -295,7 +300,9 @@ class SyntheticTraceGenerator:
             pool = self._pick_pool(emitted_by_pool, emitted + 1)
             base = self._pick_block(pool, rng, node)
             run = min(self._run_length(pool, rng), data_refs - emitted)
-            if pool.name == "migratory":
+            write_fraction = pool.write_fraction
+            migratory = pool.name == "migratory"
+            if migratory:
                 # Migratory data follows the textbook read-modify-write
                 # pattern: a read run ending in a write burst.  This
                 # preserves the pool's write fraction while making an
@@ -303,27 +310,23 @@ class SyntheticTraceGenerator:
                 # copies -- the structure behind the paper's Table 1
                 # ("most invalidations need the multicast round") and
                 # Figure 5 dirty-miss shares.
-                writes = self._burst_length(run, pool.write_fraction, rng)
-            else:
-                writes = 0
+                first_write = run - self._burst_length(run, write_fraction, rng)
             for position in range(run):
-                instr_carry += spec.instr_per_data
+                instr_carry += instr_per_data
                 instr_before = int(instr_carry)
                 instr_carry -= instr_before
-                if pool.name == "migratory":
-                    is_write = position >= run - writes
+                if migratory:
+                    is_write = position >= first_write
                 else:
-                    is_write = rng.bernoulli(pool.write_fraction)
+                    is_write = random() < write_fraction
                 # The word offset varies within the block so the stream
                 # looks like real addresses, not block ids.
-                offset = rng.randint(0, word_slots - 1) * 4
-                yield TraceRecord(
-                    instr_before=instr_before,
-                    address=base + offset,
-                    is_write=is_write,
+                yield new_record(
+                    TraceRecord,
+                    (instr_before, base + randrange(word_slots) * 4, is_write),
                 )
-                emitted += 1
-                emitted_by_pool[pool.name] += 1
+            emitted += run
+            emitted_by_pool[pool.name] += run
 
     def streams(self, data_refs: int) -> List[Iterator[TraceRecord]]:
         """One stream per processor."""

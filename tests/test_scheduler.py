@@ -1,6 +1,8 @@
 """Unit tests for the event-driven slot scheduler."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ring.scheduler import SlotScheduler
 from repro.ring.slots import FrameLayout, SlotType
@@ -158,7 +160,7 @@ def test_utilization_accounting():
 def test_wait_statistics():
     sim, topology, _, scheduler = make_scheduler()
     acquire(sim, scheduler, 0, SlotType.PROBE_ODD, occupancy=10)
-    assert scheduler.granted_messages[SlotType.PROBE_ODD] == 1
+    assert scheduler.counters[SlotType.PROBE_ODD].messages == 1
     assert scheduler.mean_wait_cycles(SlotType.PROBE_ODD) >= 0.0
     assert scheduler.mean_wait_cycles(SlotType.BLOCK) == 0.0
 
@@ -221,3 +223,112 @@ def test_concurrent_acquires_no_double_grant():
         shared.sort(key=lambda grant: grant.grab_cycle)
         for earlier, later in zip(shared, shared[1:]):
             assert later.grab_cycle >= earlier.release_cycle
+
+
+# ----------------------------------------------------------------------
+# The fast path's prediction: the arrival-order walk against a min-scan
+# ----------------------------------------------------------------------
+def make_fast_scheduler(num_nodes=8, fairness=True):
+    layout = FrameLayout()
+    topology = RingTopology.for_layout(num_nodes, layout)
+    return SlotScheduler(
+        Simulator(), topology, layout, clock_ps=2_000,
+        enforce_fairness=fairness, fastpath=True,
+    )
+
+
+def min_scan(scheduler, node, slot_type, search_from):
+    """The closed-form min-scan the walk replaced: each slot's earliest
+    arrival at or after its release (one revolution later for the pass
+    the fairness rule blocks); the earliest wins."""
+    total = scheduler.topology.total_stages
+    best = None
+    for slot in scheduler.slots_of(slot_type):
+        free_at = slot.free_at_cycle
+        arrival = scheduler.next_arrival(
+            slot, scheduler.topology.node_stage(node), max(search_from, free_at)
+        )
+        if (
+            scheduler.enforce_fairness
+            and arrival == free_at
+            and slot.freed_by == node
+        ):
+            arrival += total
+        if best is None or arrival < best[0]:
+            best = (arrival, slot)
+    return best
+
+
+def assert_prediction_matches(scheduler, node, slot_type, search_from):
+    lane = scheduler.lane(node, slot_type)
+    arrival, slot, _ = scheduler._predict(lane, node, search_from, 0)
+    want_arrival, want_slot = min_scan(scheduler, node, slot_type, search_from)
+    assert (arrival, slot.index) == (want_arrival, want_slot.index)
+    assert slot is want_slot
+    return arrival, slot
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_predict_walk_matches_min_scan(data):
+    num_nodes = data.draw(st.integers(2, 12), label="nodes")
+    fairness = data.draw(st.booleans(), label="fairness")
+    scheduler = make_fast_scheduler(num_nodes, fairness)
+    total = scheduler.topology.total_stages
+    slot_type = data.draw(st.sampled_from(list(SlotType)), label="type")
+    node = data.draw(st.integers(0, num_nodes - 1), label="node")
+    stage = scheduler.topology.node_stage(node)
+    for slot in scheduler.slots_of(slot_type):
+        if data.draw(st.booleans(), label="aligned"):
+            # Free exactly as the slot passes the node: the one pass
+            # the fairness rule may block.
+            slot.free_at_cycle = scheduler.next_arrival(
+                slot, stage, data.draw(st.integers(0, 3 * total))
+            )
+        else:
+            slot.free_at_cycle = data.draw(st.integers(0, 6 * total))
+        slot.freed_by = data.draw(
+            st.one_of(st.none(), st.just(node), st.integers(0, num_nodes - 1)),
+            label="freed_by",
+        )
+    search_from = data.draw(st.integers(0, 4 * total), label="search_from")
+    assert_prediction_matches(scheduler, node, slot_type, search_from)
+
+
+@pytest.mark.parametrize("fairness", [True, False])
+def test_predict_resumes_when_every_slot_is_busy_past_a_revolution(
+    fairness,
+):
+    scheduler = make_fast_scheduler(fairness=fairness)
+    total = scheduler.topology.total_stages
+    for offset, slot in enumerate(scheduler.slots_of(SlotType.BLOCK)):
+        slot.free_at_cycle = 3 * total + 7 * offset
+        slot.freed_by = 2
+    arrival, _ = assert_prediction_matches(scheduler, 2, SlotType.BLOCK, 5)
+    assert arrival >= 3 * total
+
+
+def test_predict_skips_the_fairness_blocked_pass_at_free_at():
+    scheduler = make_fast_scheduler(fairness=True)
+    total = scheduler.topology.total_stages
+    node = 3
+    stage = scheduler.topology.node_stage(node)
+    slots = scheduler.slots_of(SlotType.PROBE_EVEN)
+    blocked = slots[scheduler.lane(node, SlotType.PROBE_EVEN).order[1]]
+    for slot in slots:
+        slot.free_at_cycle = 10 * total
+    # The earliest candidate is freed by this node exactly as it
+    # passes, so the walk must move past it -- and, every other slot
+    # being busy, resume a revolution later.
+    blocked.free_at_cycle = scheduler.next_arrival(blocked, stage, total)
+    blocked.freed_by = node
+    arrival, slot = assert_prediction_matches(
+        scheduler, node, SlotType.PROBE_EVEN, 0
+    )
+    assert arrival == blocked.free_at_cycle + total and slot is blocked
+    # Another node may take that very pass.
+    blocked.freed_by = node + 1
+    arrival, slot = assert_prediction_matches(
+        scheduler, node, SlotType.PROBE_EVEN, 0
+    )
+    assert arrival == blocked.free_at_cycle and slot is blocked

@@ -4,7 +4,7 @@ The same quantity -- how long a message keeps a ring slot busy -- is
 tracked in three places:
 
 * the scheduler's per-slot ``busy_cycles`` and per-type
-  ``granted_cycles`` counters (feeding ``utilization()``);
+  ``counters[...].cycles`` (feeding ``utilization()``);
 * the telemetry ``slot_occupancy`` histograms
   (:class:`repro.obs.histograms.Histograms`);
 * the analytical occupancy of :func:`repro.models.ring_common.
@@ -85,7 +85,7 @@ def test_broadcast_occupancy_spans_frames_exactly(fastpath):
     # Scheduler counters, per-slot counters and telemetry histograms
     # are three bookkeepers of the same grants.
     expected_cycles = len(grants) * total
-    assert scheduler.granted_cycles[SlotType.PROBE_EVEN] == expected_cycles
+    assert scheduler.counters[SlotType.PROBE_EVEN].cycles == expected_cycles
     assert (
         sum(s.busy_cycles for s in scheduler.slots_of(SlotType.PROBE_EVEN))
         == expected_cycles
@@ -122,7 +122,7 @@ def test_unicast_occupancy_matches_ring_distance(fastpath):
         distance = topology.distance(src, dst)
         assert grant.occupancy == distance
         expected_total += distance
-    assert scheduler.granted_cycles[SlotType.BLOCK] == expected_total
+    assert scheduler.counters[SlotType.BLOCK].cycles == expected_total
     histogram = sim.histograms.finalize().slot_occupancy["block"]
     assert histogram.count == len(pairs)
     assert histogram.total == expected_total
@@ -209,4 +209,4 @@ def test_fairness_bump_keeps_busy_accounting_consistent(fastpath):
     # ...and the busy time still counts each traversal exactly once.
     slot = grants[0].slot
     assert slot.busy_cycles == 3 * total
-    assert scheduler.granted_cycles[SlotType.PROBE_EVEN] == 3 * total
+    assert scheduler.counters[SlotType.PROBE_EVEN].cycles == 3 * total

@@ -1,4 +1,17 @@
-"""Unit and property tests for the synthetic workload generators."""
+"""Unit and property tests for the synthetic workload generators.
+
+``tests/golden/trace_streams.json`` pins the generated streams
+themselves, digest by digest, so a change to the generator's inner loop
+is checked for bit-identity on its own and not only through simulation
+results.  Regenerate it only for a deliberate change to the streams
+(which must also bump the result-store key):
+``PYTHONPATH=src python tests/test_traces.py --write``.
+"""
+
+import hashlib
+import json
+import pathlib
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +25,13 @@ from repro.traces.benchmarks import (
     benchmark_spec,
 )
 from repro.traces.synthetic import SyntheticTraceGenerator, generate_trace
+
+
+TRACE_GOLDEN = pathlib.Path(__file__).parent / "golden" / "trace_streams.json"
+#: (benchmark, processors) configurations pinned by the trace golden.
+GOLDEN_CONFIGS = (("mp3d", 64), ("fft", 64), ("water", 16))
+GOLDEN_SEEDS = (1993, 4099)
+GOLDEN_REFS = 800
 
 
 def make_generator(name="mp3d", processors=8, seed=5):
@@ -176,3 +196,38 @@ def test_stream_always_yields_exactly_n_valid_records(refs, node, seed):
         assert record.instr_before >= 0
         assert record.address >= 0
         assert isinstance(record.is_write, bool)
+
+
+# ----------------------------------------------------------------------
+# Golden streams
+# ----------------------------------------------------------------------
+def _stream_digests() -> dict:
+    """sha256 of each pinned stream, keyed ``name@procs/seed/node``."""
+    digests = {}
+    for name, processors in GOLDEN_CONFIGS:
+        spec = benchmark_spec(name, processors)
+        for seed in GOLDEN_SEEDS:
+            amap = AddressMap(processors, 16, seed=seed)
+            generator = SyntheticTraceGenerator(spec, amap, seed=seed)
+            for node in (0, processors - 1):
+                records = list(generator.stream(node, GOLDEN_REFS))
+                # JSON keeps the field types: ``true`` is not ``1``.
+                encoded = json.dumps([list(record) for record in records])
+                key = f"{name}@{processors}/{seed}/{node}"
+                digests[key] = hashlib.sha256(encoded.encode()).hexdigest()
+    return digests
+
+
+def test_streams_match_golden():
+    assert TRACE_GOLDEN.exists(), f"{TRACE_GOLDEN} not checked in"
+    golden = json.loads(TRACE_GOLDEN.read_text())
+    assert _stream_digests() == golden
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_traces.py --write")
+    TRACE_GOLDEN.write_text(
+        json.dumps(_stream_digests(), sort_keys=True, indent=1) + "\n"
+    )
+    print(f"wrote {TRACE_GOLDEN}")
