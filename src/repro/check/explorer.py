@@ -21,16 +21,18 @@ Three mechanisms make the search CI-exhaustive at the
   (identity-canonicalized) search as the equivalence oracle.
 * **One-step expansions.**  Engine state lives in suspended processes
   *only between* events; at quiescence the whole harness is plain
-  data, so each frontier state is expanded by cloning its harness and
-  applying one step -- O(1) steps per expansion -- instead of
-  replaying its entire script (O(depth)).  Scripts are still carried
+  data, so each frontier state is frozen once
+  (:class:`~repro.check.frozen.FrozenHarness`) and expanded by
+  thawing one copy per alphabet step and applying that step -- O(1)
+  steps per expansion -- instead of replaying its entire script
+  (O(depth)).  Scripts are still carried
   on every frontier entry: a BFS node's script *is* its reproduction
   recipe, and BFS order guarantees the first violation found has a
   minimal script within the reduced search.
 * **A sharded frontier** (``jobs > 1``).  Each BFS level is split
   into batches expanded on the :func:`repro.core.parallel.map_tasks`
-  process pool; workers replay a batch's prefix once, expand every
-  alphabet step from the clone, and return ``(entry, step,
+  process pool; workers replay and freeze each entry once, expand
+  every alphabet step from a thawed copy, and return ``(entry, step,
   canonical-fingerprint | violation)`` records.  The coordinator
   absorbs records in deterministic entry/step order, so parallel runs
   produce **bit-identical** visited sets, counters and
@@ -368,15 +370,6 @@ def _violation_kind(violation: BaseException) -> str:
     )
 
 
-def _clone(harness):
-    clone = getattr(harness, "clone", None)
-    if clone is not None:
-        return clone()
-    import copy
-
-    return copy.deepcopy(harness)
-
-
 def _replay_entry(
     harness_factory, protocol: str, nodes: int, lines: int, script
 ):
@@ -392,8 +385,8 @@ def _expand_batch(payload):
     ``payload`` is ``(protocol, nodes, lines, races, symmetry,
     harness_factory, entries)`` with ``entries`` a list of ``(position,
     script)`` pairs.  Each entry's prefix is replayed once (the only
-    O(depth) cost, amortised over the whole alphabet), then every
-    alphabet step runs on a fresh clone.  Records come back in
+    O(depth) cost, amortised over the whole alphabet) and frozen, then
+    every alphabet step runs on a fresh thaw.  Records come back in
     deterministic (position, step) order:
 
     * ``("state", step_index, fingerprint)`` -- canonical fingerprint
@@ -408,12 +401,14 @@ def _expand_batch(payload):
     results = []
     replayed = 0
     for position, script in entries:
-        base = _replay_entry(factory, protocol, nodes, lines, script)
+        frozen = _replay_entry(
+            factory, protocol, nodes, lines, script
+        ).freeze()
         replayed += len(script)
         records: List[tuple] = []
         halted = False
         for step_index, step in enumerate(alphabet):
-            child = _clone(base)
+            child = frozen.thaw()
             try:
                 child.apply(step)
                 child.check(strict=True)
@@ -695,8 +690,10 @@ def explore(
                     )
                     report.replay_steps += len(entry.script)
                 report.states_expanded += 1
+                frozen = entry.harness.freeze()
+                entry.harness = None  # free the engine promptly
                 for step in alphabet:
-                    child = _clone(entry.harness)
+                    child = frozen.thaw()
                     try:
                         child.apply(step)
                         child.check(strict=True)
@@ -716,7 +713,6 @@ def explore(
                         depth,
                         harness=child,
                     )
-                entry.harness = None  # free the engine promptly
                 if report.counterexample is not None:
                     break
 

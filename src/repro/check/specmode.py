@@ -23,18 +23,23 @@ Two ways to drive the explorer from the guarded-action specs in
   does not model -- and the explorer rejects it otherwise.
 
 Both are plain module-level classes, so they pickle for ``jobs > 1``
-frontier sharding, and both deep-copy cleanly for one-step expansion.
+frontier sharding, and both freeze and thaw (see
+:mod:`repro.check.frozen`) for one-step expansion; the frozen
+``ProtocolSpec`` is shared by every copy, never copied.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.memory.states import CacheState
 
 from repro.check.invariants import InvariantViolation
 from repro.check.state import EngineHarness, StepSpec
 from repro.spec import SpecDivergence, SpecMachine, spec_for
+
+if TYPE_CHECKING:
+    from repro.check.frozen import FrozenHarness
 
 __all__ = ["SpecCheckedHarness", "SpecHarness"]
 
@@ -93,7 +98,7 @@ class SpecHarness:
     """Engine-free harness: the spec *is* the transition system.
 
     Implements the harness protocol the explorer needs (``apply``,
-    ``check``, ``snapshot``, ``clone``) over a
+    ``check``, ``snapshot``, ``freeze``) over a
     :class:`~repro.spec.interp.SpecMachine`.  Structural checks
     replace the engine oracles: single-writer (at most one WE copy,
     and no other copy beside it), metadata/cache agreement (the view's
@@ -169,13 +174,10 @@ class SpecHarness:
     def snapshot(self):
         return self.machine.to_abstract()
 
-    def clone(self) -> "SpecHarness":
-        twin = SpecHarness.__new__(SpecHarness)
-        twin.protocol = self.protocol
-        twin.nodes = self.nodes
-        twin.lines = self.lines
-        twin.machine = self.machine.clone()
-        return twin
+    def freeze(self) -> "FrozenHarness":
+        from repro.check.frozen import FrozenHarness
+
+        return FrozenHarness(self)
 
     def _holders(self, line: int) -> Dict[int, CacheState]:
         return {

@@ -1,15 +1,18 @@
 """State abstraction and replay harness for the model checker.
 
 The coherence engines are process-oriented: their in-flight state
-lives in suspended processes (generators, which cannot be deep-copied,
+lives in suspended processes (generators, which cannot be serialised,
 or flat machines parked on the event heap).  The checker therefore
-never snapshots a *live* engine.  Instead it works over **quiescent**
-abstract states -- the engine after the event heap has drained -- and
-reaches any such state by *replaying* a script of reference steps on
-a freshly built engine.  Replay is cheap at
-checker scale (2--4 nodes, 1--2 shared lines) and gives the explorer
-minimal counterexamples for free: a BFS node's script *is* its
-reproduction recipe.
+never copies a *live* engine.  Instead it works over **quiescent**
+abstract states -- the engine after the event heap has drained.  A
+quiescent harness is plain data: :meth:`EngineHarness.freeze`
+serialises it once and each ``thaw()`` of the result is an independent
+copy, which is how the explorer expands a state by one step.  Any
+state can also be reached by *replaying* a script of reference steps
+on a freshly built engine.  Replay is cheap at checker scale (2--4
+nodes, 1--2 shared lines) and gives the explorer minimal
+counterexamples for free: a BFS node's script *is* its reproduction
+recipe.
 
 A step is one or two concurrent references (the two-reference "race"
 steps exercise the shared-lock, snapshot and gated-commit paths that
@@ -33,9 +36,16 @@ write is last, so the oracle resynchronises instead of judging.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.config import CacheConfig, Protocol, SystemConfig
 from repro.memory.cache import AccessOutcome
@@ -43,6 +53,9 @@ from repro.memory.states import CacheState
 from repro.sim.kernel import Simulator
 
 from repro.check.invariants import InvariantViolation, check_addresses
+
+if TYPE_CHECKING:
+    from repro.check.frozen import FrozenHarness
 
 __all__ = [
     "DRAIN_HORIZON_PS",
@@ -341,23 +354,31 @@ class EngineHarness:
         )
         return ("owner", dirty, owner)
 
-    def clone(self) -> "EngineHarness":
-        """An independent deep copy of this *quiescent* harness.
+    def freeze(self) -> "FrozenHarness":
+        """Serialise this *quiescent* harness once, for many copies.
 
         At quiescence nothing live remains -- the event heap is empty
         and no process is suspended mid-transaction -- so the whole
         object graph (caches, directories, locks, RNG, clock) is plain
-        data and ``deepcopy`` reproduces it exactly: the clone's
-        future behaviour is bit-identical to replaying this harness's
-        script on a fresh engine.  This is what makes frontier
-        expansion cost one step instead of ``depth`` steps.
+        data.  Each ``thaw()`` of the result rebuilds an independent
+        harness whose future behaviour is bit-identical to replaying
+        this harness's script on a fresh engine.  The explorer freezes
+        a frontier state once and thaws one child per alphabet step:
+        an expansion costs one step, not ``depth`` steps, and each
+        child is one unpickle of a few kilobytes.
         """
         if self.sim.peek() is not None:
             raise RuntimeError(
-                "clone() requires a quiescent harness "
+                "freeze() requires a quiescent harness "
                 "(the event heap is still live)"
             )
-        return copy.deepcopy(self)
+        from repro.check.frozen import FrozenHarness
+
+        return FrozenHarness(self)
+
+    def clone(self) -> "EngineHarness":
+        """An independent copy of this quiescent harness."""
+        return self.freeze().thaw()
 
     def _cache_matrix(self) -> Dict[Tuple[int, int], CacheState]:
         return {

@@ -410,24 +410,22 @@ def _miss_locked(proc: RingMachine, value: Any) -> int:
 def _miss_exit(proc: RingMachine) -> int:
     proc.lock.release()
     proc.lock = None
-    engine = proc.engine
     sim = proc._sim
-    node = proc.node
-    address = proc.miss_addr
-    outcome_name = proc.miss_outcome.name
     tracer = sim.tracer
     if tracer is not None:
         tracer.miss_commit(
             proc.start_ps,
             sim.now,
-            engine.trace_category,
-            node,
-            address,
-            outcome_name,
+            proc.engine.trace_category,
+            proc.node,
+            proc.miss_addr,
+            proc.miss_outcome.name,
         )
     monitor = sim.monitor
     if monitor is not None:
-        monitor.on_commit(engine, node, address, outcome_name)
+        monitor.on_commit(
+            proc.engine, proc.node, proc.miss_addr, proc.miss_outcome.name
+        )
     return _chain(proc, proc.miss_ret)
 
 

@@ -110,9 +110,6 @@ class GrantCounters:
     messages: int = 0
     wait: int = 0
 
-    def __deepcopy__(self, memo: dict) -> "GrantCounters":
-        return GrantCounters(self.cycles, self.messages, self.wait)
-
 
 @dataclass(frozen=True, slots=True)
 class SlotLane:
@@ -134,9 +131,6 @@ class SlotLane:
     order: Tuple[int, ...]
     #: The type's ``SlotType.value``, for the telemetry hooks.
     label: str
-
-    def __deepcopy__(self, memo: dict) -> "SlotLane":
-        return self
 
 
 class SlotScheduler:

@@ -36,10 +36,6 @@ class RingTopology:
     frame_stages: int
     stages_per_node: int = STAGES_PER_NODE
 
-    def __deepcopy__(self, memo: dict) -> "RingTopology":
-        # Immutable (its cached geometry included): copies share it.
-        return self
-
     def __post_init__(self) -> None:
         if self.num_nodes < 2:
             raise ValueError("a ring needs at least 2 nodes")

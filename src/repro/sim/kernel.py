@@ -251,6 +251,25 @@ class Simulator:
         self.monitor: Optional[Any] = None
 
     # ------------------------------------------------------------------
+    # Copying (the checker serialises quiescent simulators)
+    # ------------------------------------------------------------------
+    def __getstate__(self) -> dict:
+        # itertools.count cannot be pickled or copied from Python 3.14
+        # on (3.12 and 3.13 warn), so the state holds the next sequence
+        # number as an int.  Drawing it and restarting the counter
+        # there leaves the numbers this simulator draws unchanged; it
+        # is only copied between runs, never from inside one.
+        upcoming = next(self._sequence)
+        self._sequence = itertools.count(upcoming)
+        state = self.__dict__.copy()
+        state["_sequence"] = upcoming
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._sequence = itertools.count(state["_sequence"])
+
+    # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
     def spawn(self, body: ProcessBody, name: str = "process") -> Process:

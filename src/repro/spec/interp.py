@@ -31,7 +31,6 @@ numpy.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -71,8 +70,10 @@ class _LineMeta:
 class SpecMachine:
     """The abstract system state a spec executes over.
 
-    Plain data throughout -- ``clone`` is a deep copy, which is what
-    lets the explorer expand spec states exactly like engine states.
+    Plain data throughout, which is what lets the explorer expand
+    spec states exactly like engine states.  ``clone`` shares the
+    immutable ``spec`` and copies only the per-state ``caches`` and
+    ``meta``.
     """
 
     spec: ProtocolSpec
@@ -92,7 +93,16 @@ class SpecMachine:
             self.meta = {line: _LineMeta() for line in range(self.lines)}
 
     def clone(self) -> "SpecMachine":
-        return copy.deepcopy(self)
+        return SpecMachine(
+            spec=self.spec,
+            nodes=self.nodes,
+            lines=self.lines,
+            caches=dict(self.caches),
+            meta={
+                line: _LineMeta(meta.dirty, meta.chain)
+                for line, meta in self.meta.items()
+            },
+        )
 
     # ------------------------------------------------------------------
     # Reference execution

@@ -11,11 +11,21 @@ vacuous.
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro
 from repro.check import EngineHarness, InvariantViolation, explore
 from repro.check.explorer import COUNTEREXAMPLE_SCHEMA, step_alphabet
+from repro.check.specmode import SpecCheckedHarness
+from repro.check.state import PROTOCOLS as ALL_PROTOCOLS
 from repro.check.state import Ref, StepSpec
 from repro.ring.directory import DirectoryRingSystem
 from repro.ring.snooping import SnoopingRingSystem
@@ -316,7 +326,92 @@ def test_clone_refuses_mid_transaction_state():
     harness = EngineHarness("snooping", 2, 1)
     harness.sim.spawn(iter(()), name="pending")
     with pytest.raises(RuntimeError):
+        harness.freeze()
+    with pytest.raises(RuntimeError):
         harness.clone()
+
+
+# ----------------------------------------------------------------------
+# Freeze / thaw: the copy path of every expansion
+# ----------------------------------------------------------------------
+def _observable(harness):
+    """Everything a thawed copy must reproduce: the abstract state, the
+    freshness oracle, the clock and the next kernel sequence number."""
+    return (
+        harness.snapshot(),
+        list(harness.versions),
+        dict(harness.observed),
+        harness.sim.now,
+        harness.sim.__getstate__()["_sequence"],
+    )
+
+
+@st.composite
+def _scripted_configs(draw):
+    protocol = draw(st.sampled_from(sorted(ALL_PROTOCOLS)), label="protocol")
+    nodes = 2 if protocol == "hierarchical" else draw(st.integers(2, 3))
+    lines = draw(st.integers(1, 2), label="lines")
+    alphabet = step_alphabet(nodes, lines)
+    script = draw(
+        st.lists(st.sampled_from(alphabet), max_size=4), label="script"
+    )
+    return protocol, nodes, lines, tuple(script)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_scripted_configs())
+def test_thaw_then_apply_equals_fresh_replay(config):
+    protocol, nodes, lines, script = config
+    thawed = EngineHarness(protocol, nodes, lines)
+    for step in script:
+        thawed = thawed.freeze().thaw()
+        thawed.apply(step)
+    replayed = EngineHarness.replay(protocol, nodes, lines, script)
+    assert _observable(thawed) == _observable(replayed)
+
+
+@pytest.mark.parametrize("protocol", sorted(ALL_PROTOCOLS))
+def test_thawed_siblings_are_independent(protocol):
+    harness = EngineHarness.replay(
+        protocol, 2, 2, [StepSpec((Ref(0, 0, True),))]
+    )
+    frozen = harness.freeze()
+    data = bytes(frozen.data)
+    first, second = frozen.thaw(), frozen.thaw()
+    before = _observable(second)
+    first.apply(StepSpec((Ref(1, 0, True),)))
+    assert _observable(first) != before
+    assert _observable(second) == before
+    assert frozen.data == data
+    assert _observable(frozen.thaw()) == before
+    # Mutable engine state is copied; immutable geometry is shared.
+    assert first.engine.caches[0] is not second.engine.caches[0]
+    assert first.engine.config is second.engine.config
+
+
+@pytest.mark.parametrize("factory", [EngineHarness, SpecCheckedHarness])
+@pytest.mark.parametrize("protocol", sorted(ALL_PROTOCOLS))
+def test_freeze_and_thaw_raise_no_deprecation_warning(protocol, factory):
+    harness = factory.replay(protocol, 2, 1, [StepSpec((Ref(0, 0, True),))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        child = harness.freeze().thaw()
+        child.apply(StepSpec((Ref(1, 0, False),)))
+    assert child.snapshot() != harness.snapshot()
+
+
+def test_importing_the_checker_loads_no_pickler():
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    code = (
+        "import sys, repro.check, repro.spec; "
+        "print(sorted({'pickle', 'repro.check.frozen'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # ----------------------------------------------------------------------

@@ -419,3 +419,25 @@ def test_kill_is_idempotent_and_spares_other_processes(sim):
     sim.spawn(killer(), name="killer")
     assert sim.run() == 4_000
     assert log == ["worker"]
+
+
+def test_pickled_simulator_draws_the_next_sequence_number(sim):
+    """A copy resumes the tie-break sequence exactly where the
+    original stands, and pickling leaves the original's draws as they
+    were (the counter is stored as an int: itertools.count cannot be
+    pickled from Python 3.14 on)."""
+    import pickle
+    import warnings
+
+    def body():
+        for _ in range(3):
+            yield sim.timeout(1_000)
+
+    sim.spawn(body())
+    sim.run()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        copy = pickle.loads(pickle.dumps(sim))
+    assert copy.now == sim.now
+    assert next(copy._sequence) == next(sim._sequence)
+    assert next(copy._sequence) == next(sim._sequence)

@@ -37,6 +37,7 @@ from repro import check
 from repro.memory.states import ALLOWED_TRANSITIONS, CacheState
 from repro.spec import (
     SPECS,
+    SpecMachine,
     SpecValidationError,
     commit_table,
     diff_tables,
@@ -143,6 +144,25 @@ def test_spec_only_expansion_matches_engine_without_races(protocol):
     assert engine.ok and pure.ok
     assert engine.complete and pure.complete
     assert _fingerprint(engine) == _fingerprint(pure)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_spec_machine_clone_shares_the_spec_only(protocol):
+    machine = SpecMachine(spec=spec_for(protocol), nodes=3, lines=2)
+    machine.apply_ref(0, 0, True)
+    machine.apply_ref(1, 1, False)
+    twin = machine.clone()
+    assert twin.spec is machine.spec
+    assert twin.caches == machine.caches
+    assert twin.caches is not machine.caches
+    assert twin.meta == machine.meta
+    assert twin.meta is not machine.meta
+    for line, meta in machine.meta.items():
+        assert twin.meta[line] is not meta
+    before = machine.to_abstract()
+    twin.apply_ref(2, 0, True)
+    assert machine.to_abstract() == before
+    assert twin.to_abstract() != before
 
 
 def test_spec_only_expansion_rejects_races():
