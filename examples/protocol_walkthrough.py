@@ -11,6 +11,7 @@ Run:  python examples/protocol_walkthrough.py
 """
 
 from repro import Protocol, SystemConfig
+from repro.check.invariants import check_engine
 from repro.core.experiment import build_engine
 from repro.memory.cache import AccessOutcome
 from repro.memory.states import CacheState
@@ -69,7 +70,7 @@ def walkthrough(protocol: Protocol) -> None:
         marker = " <- owner" if state is CacheState.WE else ""
         print(f"    P{node}: {state.value}{marker}")
 
-    engine.check_invariants()
+    check_engine(engine)
     print("  coherence invariants hold ✓")
     print(
         f"  traffic: {engine.stats.probes_sent} probes "

@@ -384,19 +384,3 @@ class BusSystem:
         """Fraction of time the bus was held (the paper's 'network
         utilisation' for bus systems)."""
         return self.bus.utilization(elapsed_ps)
-
-    def check_invariants(self) -> None:
-        """Same cross-cache invariants as the ring engines."""
-        owners: Dict[int, List[int]] = {}
-        sharers: Dict[int, List[int]] = {}
-        for node, cache in enumerate(self.caches):
-            for block_address, state in cache.resident_blocks().items():
-                if state is CacheState.WE:
-                    owners.setdefault(block_address, []).append(node)
-                else:
-                    sharers.setdefault(block_address, []).append(node)
-        for block_address, holding in owners.items():
-            if len(holding) > 1 or block_address in sharers:
-                raise RuntimeError(
-                    f"coherence violation on block {block_address:#x}"
-                )

@@ -82,15 +82,14 @@ def check_block(
 ) -> None:
     """Assert SWMR and directory--cache agreement for one block.
 
-    Private blocks carry no coherence metadata and are skipped.  With
+    SWMR is checked on every block.  Private blocks carry no coherence
+    metadata, so agreement is checked on shared blocks only.  With
     ``strict`` the quiescent-only agreement checks are added (see
     module docstring); the default weak form is safe at any coherence
     commit point.  ``held`` may pass a precomputed holder map (as
     built by :func:`check_engine` in one pass over the caches) to
     avoid the per-block cache scan.
     """
-    if not engine.address_map.is_shared(address):
-        return
     block = engine.address_map.block_of(address)
     if held is None:
         held = holders(engine, address)
@@ -107,6 +106,8 @@ def check_block(
             f"{sorted(n for n in held if n != writing[0])}",
         )
 
+    if not engine.address_map.is_shared(address):
+        return
     view = getattr(engine, "coherence_view", None)
     if view is None:
         return  # engine without canonical metadata: SWMR only
@@ -251,17 +252,14 @@ def check_addresses(
 
 
 def check_engine(engine, *, strict: bool = False) -> None:
-    """Full scan: every shared block resident in any cache.
+    """Full scan: every block resident in any cache, private included.
 
-    Also runs the engine's own ``check_invariants`` cross-cache scan
-    (which covers private blocks) when it provides one.  The holder
-    matrix is built in one pass over the caches -- O(resident lines),
-    not O(blocks x caches) -- so the periodic monitor sweep stays
-    cheap on large machines.
+    This is the one cross-cache coherence scan for every engine (ring,
+    bus and hierarchical); tests call it after a run, the monitor
+    during one.  The holder matrix is built in one pass over the
+    caches -- O(resident lines), not O(blocks x caches) -- so the
+    periodic monitor sweep stays cheap on large machines.
     """
-    native = getattr(engine, "check_invariants", None)
-    if native is not None:
-        native()
     held_by_block: Dict[int, Dict[int, CacheState]] = {}
     for node, cache in enumerate(engine.caches):
         for block_address, state in cache.resident_blocks().items():

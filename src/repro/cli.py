@@ -6,7 +6,7 @@ Commands mirror the library's layers:
 * ``sweep``     -- hybrid methodology curves for one configuration.
 * ``compare``   -- snooping vs directory (Figure 3/4 style panels).
 * ``ringbus``   -- ring vs bus (Figure 6 style panels).
-* ``grid``      -- vectorized design surface (needs NumPy).
+* ``grid``      -- vectorized design surface.
 * ``validate``  -- model-vs-simulation error report.
 * ``snooprate`` -- the closed-form Table 3.
 * ``benchmarks``-- list available workload configurations.
@@ -94,16 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="disable the persistent on-disk result cache",
         )
 
-    def add_grid_toggle(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--grid",
-            action=argparse.BooleanOptionalAction,
-            default=None,
-            help="solve the model sweeps on the vectorized grid engine "
-            "(--grid needs NumPy; --no-grid forces the scalar models; "
-            "default: scalar -- results are bit-identical either way)",
-        )
-
     simulate = commands.add_parser(
         "simulate", help="run one trace-driven simulation"
     )
@@ -177,13 +167,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the extraction simulation under the coherence "
         "monitor (bypasses the result cache)",
     )
-    add_grid_toggle(sweep)
 
     compare = commands.add_parser(
         "compare", help="snooping vs directory panels (Figure 3/4 style)"
     )
     add_workload_arguments(compare)
-    add_grid_toggle(compare)
     compare.add_argument(
         "--sizes",
         type=int,
@@ -198,11 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
         "ringbus", help="ring vs bus panels (Figure 6 style)"
     )
     add_workload_arguments(ringbus)
-    add_grid_toggle(ringbus)
 
     grid = commands.add_parser(
         "grid",
-        help="vectorized design surface (needs NumPy)",
+        help="vectorized design surface",
         description=(
             "Cross one or more machine-parameter axes with the "
             "processor-cycle sweep and solve the whole surface in one "
@@ -866,7 +853,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
         _PROTOCOLS[args.protocol],
         data_refs=args.refs,
         check_invariants=args.check_invariants,
-        use_grid=args.grid,
     )
     rows = [
         {
@@ -895,7 +881,6 @@ def _command_compare(args: argparse.Namespace) -> int:
             data_refs=args.refs,
             jobs=args.jobs,
             progress=_progress_printer(args),
-            use_grid=args.grid,
         )
         _print_sweeps(sweeps, f"{args.benchmark}-{sizes[0]}")
     else:
@@ -905,7 +890,6 @@ def _command_compare(args: argparse.Namespace) -> int:
             data_refs=args.refs,
             jobs=args.jobs,
             progress=_progress_printer(args),
-            use_grid=args.grid,
         )
         for name, procs in panels:
             _print_sweeps(grid[(name, procs)], f"{name}-{procs}")
@@ -926,7 +910,6 @@ def _command_ringbus(args: argparse.Namespace) -> int:
         data_refs=args.refs,
         jobs=args.jobs,
         progress=_progress_printer(args),
-        use_grid=args.grid,
     )
     _print_sweeps(sweeps, f"{args.benchmark}-{args.processors}")
     _print_cache_summary(args, before, time.perf_counter() - started)

@@ -119,21 +119,11 @@ def sweep_from_result(
     protocol: Protocol,
     config: Optional[SystemConfig] = None,
     cycles_ns: Optional[Sequence[float]] = None,
-    use_grid: Optional[bool] = None,
 ) -> SweepResult:
-    """The model half of a hybrid sweep, from a finished extraction.
-
-    ``use_grid=True`` solves the whole cycle sweep in one vectorized
-    pass (:func:`repro.models.grid.grid_sweep`, needs NumPy); the
-    results are bit-identical to the scalar sweep, which remains the
-    default (``use_grid`` None or False).
-    """
+    """The model half of a hybrid sweep, from a finished extraction:
+    the scalar ``model.sweep()`` over the processor-cycle axis."""
     base = _target_config(num_processors, protocol, config)
     cycles = list(cycles_ns) if cycles_ns else list(PAPER_CYCLE_SWEEP_NS)
-    if use_grid:
-        from repro.models import grid as grid_engine
-
-        return grid_engine.grid_sweep(base, simulated.inputs, cycles_ns=cycles)
     model = model_for(base, simulated)
     return model.sweep(cycles)
 
@@ -147,7 +137,6 @@ def hybrid_sweep(
     cycles_ns: Optional[Sequence[float]] = None,
     extraction_protocol: Optional[Protocol] = None,
     check_invariants: bool = False,
-    use_grid: Optional[bool] = None,
 ) -> SweepResult:
     """One full hybrid evaluation: simulate once, sweep with the model.
 
@@ -160,9 +149,6 @@ def hybrid_sweep(
     runtime coherence monitor (cache bypassed -- see
     :func:`repro.core.experiment.run_simulation_cached`); the model
     half is pure arithmetic and needs no checking.
-
-    ``use_grid=True`` runs the model half on the vectorized grid
-    engine (bit-identical results, needs NumPy).
     """
     point = extraction_point(
         benchmark,
@@ -186,7 +172,6 @@ def hybrid_sweep(
         protocol,
         config=config,
         cycles_ns=cycles_ns,
-        use_grid=use_grid,
     )
 
 

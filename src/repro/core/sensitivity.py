@@ -33,7 +33,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.config import Protocol, SystemConfig
 from repro.core.experiment import DEFAULT_DATA_REFS, run_simulation
-from repro.core.results import SimulationResult
 
 __all__ = [
     "SUPPORTED_PARAMETERS",
@@ -191,26 +190,19 @@ def model_sensitivity_sweep(
     processor_cycle_ns: float = 20.0,
     data_refs: int = DEFAULT_DATA_REFS,
     base_config: Optional[SystemConfig] = None,
-    use_grid: Optional[bool] = None,
 ) -> List[Dict[str, float]]:
     """Analytic counterpart of :func:`sensitivity_sweep`: one trace
     extraction, then the analytical model resolves each value.
 
     Misses the emergent effects a re-simulation captures (the event
     mix is held fixed) but costs milliseconds per value, so it scales
-    to axes a simulation sweep cannot.  ``use_grid`` picks the solver:
-    True or None (the default) uses the vectorized grid engine, False
-    the scalar models.  Both paths produce identical rows.
+    to axes a simulation sweep cannot.  All values are solved in one
+    pass of the vectorized grid engine.
     """
-    from repro.core.hybrid import (
-        _target_config,
-        extraction_point,
-        model_for,
-    )
+    from repro.core.hybrid import _target_config, extraction_point
     from repro.core.experiment import run_simulation_cached
+    from repro.models import grid as grid_engine
 
-    if use_grid is None:
-        use_grid = True
     point = extraction_point(
         benchmark,
         num_processors,
@@ -228,21 +220,13 @@ def model_sensitivity_sweep(
     base = _target_config(num_processors, protocol, base_config)
     configs = [apply_parameter(base, parameter, value) for value in values]
     cycle_ps = round(processor_cycle_ns * 1000)
-    if use_grid:
-        from repro.models import grid as grid_engine
-
-        solution = grid_engine.solve_grid(
-            grid_engine.ModelGrid.from_points(
-                grid_engine.family_for_protocol(protocol),
-                [(config, simulated.inputs, cycle_ps) for config in configs],
-            )
+    solution = grid_engine.solve_grid(
+        grid_engine.ModelGrid.from_points(
+            grid_engine.family_for_protocol(protocol),
+            [(config, simulated.inputs, cycle_ps) for config in configs],
         )
-        points = solution.operating_points()
-    else:
-        points = [
-            model_for(config, simulated).solve(cycle_ps)
-            for config in configs
-        ]
+    )
+    points = solution.operating_points()
     rows: List[Dict[str, float]] = []
     for value, solved in zip(values, points):
         rows.append(

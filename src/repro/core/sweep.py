@@ -55,15 +55,12 @@ def snooping_vs_directory(
     config: Optional[SystemConfig] = None,
     jobs: int = 1,
     progress: Optional[ProgressCallback] = None,
-    use_grid: Optional[bool] = None,
 ) -> List[SweepResult]:
     """The two curves of one Figure 3/4 panel (snooping, directory).
 
     ``jobs > 1`` runs the two underlying trace-driven extractions in
     parallel worker processes; the model sweeps (milliseconds) stay in
     the parent.  Results are bit-identical to the serial path.
-    ``use_grid=True`` runs the model half on the vectorized grid
-    engine (also bit-identical; needs NumPy).
     """
     protocols = (Protocol.SNOOPING, Protocol.DIRECTORY)
     points = [
@@ -84,7 +81,6 @@ def snooping_vs_directory(
             protocol,
             config=config,
             cycles_ns=cycles_ns,
-            use_grid=use_grid,
         )
         for protocol, simulated in zip(protocols, report.results)
     ]
@@ -96,7 +92,6 @@ def figure3_panels(
     cycles_ns: Optional[Sequence[float]] = None,
     jobs: int = 1,
     progress: Optional[ProgressCallback] = None,
-    use_grid: Optional[bool] = None,
 ) -> "Tuple[Dict[Tuple[str, int], List[SweepResult]], SweepReport]":
     """Every snooping-vs-directory panel of a Figure 3/4-style grid.
 
@@ -122,7 +117,6 @@ def figure3_panels(
                 procs,
                 protocol,
                 cycles_ns=cycles_ns,
-                use_grid=use_grid,
             )
             for protocol in protocols
         ]
@@ -138,7 +132,6 @@ def ring_vs_bus(
     bus_clocks_mhz: Sequence[float] = (100.0, 50.0),
     jobs: int = 1,
     progress: Optional[ProgressCallback] = None,
-    use_grid: Optional[bool] = None,
 ) -> List[SweepResult]:
     """The four curves of one Figure 6 panel.
 
@@ -182,7 +175,6 @@ def ring_vs_bus(
             protocol,
             config=config,
             cycles_ns=cycles_ns,
-            use_grid=use_grid,
         )
         for (protocol, config), simulated in zip(curves, report.results)
     ]

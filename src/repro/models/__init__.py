@@ -1,10 +1,9 @@
 """Analytical models: the fast half of the hybrid methodology.
 
-The scalar models below import eagerly and stay dependency-free (they
-are the grid engine's oracle).  The vectorized grid engine
-(``repro.models.grid``) uses NumPy, so its names are re-exported
-lazily via module ``__getattr__`` -- importing ``repro.models`` never
-pulls in NumPy.
+The scalar models below import eagerly (they are the grid engine's
+oracle).  The vectorized grid engine (``repro.models.grid``) is built
+on NumPy, so its names are re-exported lazily via module
+``__getattr__`` -- importing ``repro.models`` never pulls in NumPy.
 """
 
 from repro.models.base import (
@@ -63,15 +62,13 @@ __all__ = [
     "TABLE3_WIDTHS",
     "snoop_interarrival_ns",
     "snoop_rate_table",
-    # Lazy re-exports from repro.models.grid (need NumPy to *use*,
-    # not to import this package -- see __getattr__ below).
+    # Lazy re-exports from repro.models.grid (imported on first use,
+    # not with this package -- see __getattr__ below).
     "ModelGrid",
     "GridSolution",
     "solve_grid",
-    "grid_sweep",
     "GRID_STATS",
     "reset_grid_stats",
-    "matching_bus_clock_grid",
 ]
 
 _GRID_EXPORTS = frozenset(
@@ -79,10 +76,8 @@ _GRID_EXPORTS = frozenset(
         "ModelGrid",
         "GridSolution",
         "solve_grid",
-        "grid_sweep",
         "GRID_STATS",
         "reset_grid_stats",
-        "matching_bus_clock_grid",
     )
 )
 

@@ -1,9 +1,9 @@
 """Vectorized analytical-model engine: whole design grids in one pass.
 
 The scalar solver in :mod:`repro.models.base` finds one fixed point per
-call; paper-scale surfaces (Fig 6 panels, Table 4, sensitivity sheets)
-need thousands to hundreds of thousands of them.  This module evaluates
-an entire grid of configurations at once: configurations live in a
+call; design surfaces and sensitivity sheets need thousands to
+hundreds of thousands of them.  This module evaluates an entire grid
+of configurations at once: configurations live in a
 struct-of-arrays :class:`ModelGrid`, the per-class latency formulas of
 all model families are re-expressed over NumPy arrays, and
 :func:`solve_grid` runs the same bracketed-secant iteration as the
@@ -53,27 +53,18 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import Protocol, SystemConfig
 from repro.core.metrics import MissClass
-from repro.core.results import ModelInputs, OperatingPoint, SweepResult
+from repro.core.results import ModelInputs, OperatingPoint
 from repro.models.ring_directory import DIRECTORY_SHARED_CLASSES
 from repro.models.ring_snooping import SNOOPING_SHARED_CLASSES
-from repro.models.register_insertion import SCI_FAIRNESS_EFFICIENCY
-from repro.ring.slots import BLOCK_HEADER_BYTES, PROBE_PAYLOAD_BYTES
 
 __all__ = [
     "GRID_STATS",
     "GRID_FAMILIES",
     "GridSolution",
     "ModelGrid",
-    "access_comparison_grid",
-    "crossover_utilization_grid",
     "family_for_protocol",
-    "grid_sweep",
-    "matching_bus_clock_grid",
-    "register_insertion_access_grid",
     "require_numpy",
     "reset_grid_stats",
-    "slotted_access_grid",
-    "snoop_interarrival_grid",
     "solve_grid",
 ]
 
@@ -595,7 +586,7 @@ _EVALUATORS = {
 
 #: Fixed-point model families the grid engine solves.  (The fifth
 #: family, register insertion, is closed-form: see
-#: :func:`register_insertion_access_grid` and friends.)
+#: :mod:`repro.models.register_insertion`.)
 GRID_FAMILIES = ("bus", "ring_snooping", "ring_directory", "ring_linkedlist")
 
 _PROTOCOL_FAMILY = {
@@ -838,7 +829,6 @@ def _weighted_latencies(family, latencies, freq_pairs):
 
 def solve_grid(
     grid: ModelGrid,
-    initial_guess_ps=None,
     tolerance: float = 1e-6,
     max_iterations: int = 500,
 ) -> GridSolution:
@@ -847,8 +837,8 @@ def solve_grid(
     Product grids chain warm starts along the processor-cycle axis
     (column ``c`` seeds from column ``c-1``'s solved times, exactly the
     scalar ``sweep()`` strategy); failed lanes reseed their chain from
-    the default guess.  Pass ``initial_guess_ps`` (scalar or per-lane
-    array) to override the seeding entirely.
+    the default guess.  Point grids start every lane from the default
+    guess.
     """
     np = require_numpy()
     GRID_STATS["grid_solves"] += 1
@@ -856,7 +846,7 @@ def solve_grid(
     arrays = grid.arrays
     n = grid.size
 
-    if initial_guess_ps is None and grid.chain_shape is not None:
+    if grid.chain_shape is not None:
         chains, length = grid.chain_shape
         time = np.full(n, np.nan)
         converged = np.zeros(n, dtype=bool)
@@ -874,15 +864,8 @@ def solve_grid(
             failed[lanes] = f
             guess = np.where(np.isfinite(t), t, _DEFAULT_GUESS_PS)
     else:
-        guess = None
-        if initial_guess_ps is not None:
-            guess = np.asarray(initial_guess_ps, dtype=np.float64)
-            if guess.ndim == 0:
-                guess = np.full(n, float(guess))
-            else:
-                guess = guess.copy()
         time, converged, failed = _solve_flat(
-            evaluate, arrays, guess, tolerance, max_iterations
+            evaluate, arrays, None, tolerance, max_iterations
         )
 
     GRID_STATS["points_converged"] += int(converged.sum())
@@ -912,197 +895,3 @@ def solve_grid(
             upgrade_latency_ns=np.where(failed, nan, upgrade / 1000.0),
         )
     return solution
-
-
-# ----------------------------------------------------------------------
-# Sweep adapter (the scalar model.sweep() counterpart)
-# ----------------------------------------------------------------------
-def _label_for(family: str, config: SystemConfig) -> str:
-    if family == "bus":
-        return f"bus {config.bus.clock_mhz:.0f} MHz"
-    if family == "ring_snooping":
-        return f"snooping ring {config.ring.clock_mhz:.0f} MHz"
-    if family == "ring_linkedlist":
-        return f"linked-list ring {config.ring.clock_mhz:.0f} MHz"
-    return f"directory ring {config.ring.clock_mhz:.0f} MHz"
-
-
-def grid_sweep(
-    config: SystemConfig,
-    inputs: ModelInputs,
-    cycles_ns: Optional[Sequence[float]] = None,
-    family: Optional[str] = None,
-) -> SweepResult:
-    """Vectorized drop-in for ``model.sweep()``: one chained grid solve
-    over the processor-cycle axis, packaged as the same
-    :class:`SweepResult` (label, protocol and warm-start behaviour all
-    match the scalar path bit-for-bit)."""
-    if family is None:
-        family = family_for_protocol(config.protocol)
-    grid = ModelGrid.from_product(family, config, inputs, cycles_ns=cycles_ns)
-    solution = solve_grid(grid)
-    return SweepResult(
-        benchmark=inputs.benchmark,
-        protocol=inputs.protocol,
-        label=_label_for(family, config),
-        points=solution.operating_points(),
-    )
-
-
-# ----------------------------------------------------------------------
-# Table 4 matching (vectorized bisection over many design points)
-# ----------------------------------------------------------------------
-def matching_bus_clock_grid(
-    points: Sequence[Tuple[SystemConfig, ModelInputs, int]],
-    low_ns: float = 0.5,
-    high_ns: float = 200.0,
-    tolerance: float = 1e-3,
-    target_utilization=None,
-):
-    """Vector form of ``matching_bus_clock_ns``: one masked bisection
-    over every ``(config, inputs, processor_cycle_ps)`` design point at
-    once.  Each lane follows exactly the scalar probe sequence (low,
-    high, then midpoints) with the same per-lane warm-started bus
-    solves, so results match the scalar solver bit-for-bit."""
-    np = require_numpy()
-    points = list(points)
-    n = len(points)
-    if target_utilization is None:
-        ring = ModelGrid.from_points("ring_snooping", points)
-        target = solve_grid(ring).processor_utilization
-    else:
-        target = np.asarray(target_utilization, dtype=np.float64)
-        if target.ndim == 0:
-            target = np.full(n, float(target))
-
-    bus_grid = ModelGrid.from_points("bus", points)
-    warm = [None]
-
-    def utilization_at(clock_ns):
-        # Same clock quantisation as the scalar path:
-        # max(1, round(clock_ns * 1000)).  np.round is round-half-even,
-        # like builtin round().
-        bus_grid.arrays["bus_clock_ps"] = np.maximum(
-            1.0, np.round(clock_ns * 1000.0)
-        )
-        solution = solve_grid(bus_grid, initial_guess_ps=warm[0])
-        warm[0] = solution.time_per_instruction_ps
-        return solution.processor_utilization
-
-    low = np.full(n, float(low_ns))
-    high = np.full(n, float(high_ns))
-    result = np.full(n, np.nan)
-
-    at_low = utilization_at(low) < target
-    result = np.where(at_low, low, result)
-    at_high = ~at_low & (utilization_at(high) >= target)
-    result = np.where(at_high, high, result)
-    active = ~(at_low | at_high)
-    while True:
-        working = active & ((high - low) > tolerance)
-        if not bool(working.any()):
-            break
-        mid = (low + high) / 2.0
-        meets = utilization_at(np.where(working, mid, low)) >= target
-        low = np.where(working & meets, mid, low)
-        high = np.where(working & ~meets, mid, high)
-    return np.where(active, (low + high) / 2.0, result)
-
-
-# ----------------------------------------------------------------------
-# Register-insertion access model (closed form, arrays)
-# ----------------------------------------------------------------------
-def slotted_access_grid(utilization, slot_period_ps):
-    """Array mirror of register_insertion.slotted_access_ps."""
-    np = require_numpy()
-    return _slot_wait(
-        np.asarray(utilization, dtype=np.float64),
-        np.asarray(slot_period_ps, dtype=np.float64),
-    )
-
-
-def register_insertion_access_grid(
-    utilization,
-    message_time_ps,
-    fairness_efficiency: float = SCI_FAIRNESS_EFFICIENCY,
-):
-    """Array mirror of register_insertion.register_insertion_access_ps."""
-    np = require_numpy()
-    if not 0.0 < fairness_efficiency <= 1.0:
-        raise ValueError("fairness_efficiency must be in (0, 1]")
-    u = np.asarray(utilization, dtype=np.float64)
-    s = np.asarray(message_time_ps, dtype=np.float64)
-    effective = np.minimum(0.995, np.maximum(0.0, u) / fairness_efficiency)
-    queueing = _md1_wait(effective, s)
-    drain_share = effective * s / (1.0 - effective)
-    return queueing + drain_share
-
-
-def access_comparison_grid(
-    slot_period_ps: float,
-    message_time_ps: float,
-    utilizations=None,
-    fairness_efficiency: float = SCI_FAIRNESS_EFFICIENCY,
-):
-    """Both schemes across a load sweep in one shot; returns
-    ``(utilizations, slotted_ps, register_insertion_ps)`` arrays."""
-    np = require_numpy()
-    if utilizations is None:
-        utilizations = np.arange(20, dtype=np.float64) / 20.0
-    else:
-        utilizations = np.asarray(utilizations, dtype=np.float64)
-    slotted = slotted_access_grid(utilizations, slot_period_ps)
-    inserted = register_insertion_access_grid(
-        utilizations, message_time_ps, fairness_efficiency
-    )
-    return utilizations, slotted, inserted
-
-
-def crossover_utilization_grid(
-    slot_period_ps: float,
-    message_time_ps: float,
-    fairness_efficiency: float = SCI_FAIRNESS_EFFICIENCY,
-    resolution: int = 2_000,
-) -> float:
-    """Array mirror of register_insertion.crossover_utilization (same
-    scan, evaluated in one vector pass)."""
-    np = require_numpy()
-    utilization = np.arange(resolution, dtype=np.float64) / resolution
-    slotted = slotted_access_grid(utilization, slot_period_ps)
-    inserted = register_insertion_access_grid(
-        utilization, message_time_ps, fairness_efficiency
-    )
-    hits = np.flatnonzero(slotted <= inserted)
-    if hits.size == 0:
-        return 1.0
-    return float(utilization[hits[0]])
-
-
-# ----------------------------------------------------------------------
-# Snoop-rate geometry (Table 3, arrays)
-# ----------------------------------------------------------------------
-def snoop_interarrival_grid(
-    width_bits,
-    block_size,
-    clock_ps: int = 2_000,
-    probe_slots: int = 2,
-    block_slots: int = 1,
-):
-    """Array mirror of snoop_rate.snoop_interarrival_ns over broadcast
-    ``width_bits`` x ``block_size`` inputs (ns)."""
-    np = require_numpy()
-    if probe_slots < 1 or block_slots < 1:
-        raise ValueError("need at least one slot of each kind")
-    if probe_slots % 2:
-        raise ValueError("probe slots come in even/odd pairs")
-    widths = np.asarray(width_bits, dtype=np.int64)
-    blocks = np.asarray(block_size, dtype=np.int64)
-    widths, blocks = np.broadcast_arrays(widths, blocks)
-    if np.any(widths <= 0) or np.any(widths % 8 != 0):
-        raise ValueError("width_bits must be a positive multiple of 8")
-    if np.any(blocks <= 0):
-        raise ValueError("block_size must be positive")
-    probe_stages = -(-(PROBE_PAYLOAD_BYTES * 8) // widths)
-    block_stages = -(-((BLOCK_HEADER_BYTES + blocks) * 8) // widths)
-    frame_stages = probe_slots * probe_stages + block_slots * block_stages
-    return frame_stages * clock_ps / 1000.0

@@ -434,24 +434,3 @@ class RingSystemBase:
     # ------------------------------------------------------------------
     def ring_utilization(self, elapsed_ps: int) -> float:
         return self.scheduler.aggregate_utilization(elapsed_ps)
-
-    def check_invariants(self) -> None:
-        """Verify cross-cache coherence invariants (tests call this)."""
-        owners: Dict[int, List[int]] = {}
-        sharers: Dict[int, List[int]] = {}
-        for node, cache in enumerate(self.caches):
-            for block_address, state in cache.resident_blocks().items():
-                if state is CacheState.WE:
-                    owners.setdefault(block_address, []).append(node)
-                else:
-                    sharers.setdefault(block_address, []).append(node)
-        for block_address, holding in owners.items():
-            if len(holding) > 1:
-                raise ProtocolError(
-                    f"block {block_address:#x} WE at nodes {holding}"
-                )
-            if block_address in sharers:
-                raise ProtocolError(
-                    f"block {block_address:#x} WE at {holding} and RS at "
-                    f"{sharers[block_address]}"
-                )

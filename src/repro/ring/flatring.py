@@ -506,7 +506,7 @@ def _acq_try(proc: RingMachine, value: Any) -> int:
                 wake * clock_ps, period * clock_ps, arrival * clock_ps
             )
         return _acq_wake(proc, None)
-    # Reference path (--no-fastpath): wake at every slot arrival.
+    # Reference path (REPRO_NO_FASTPATH=1): wake at every slot arrival.
     stage = lane.stage
     arrival = slot = None
     for candidate in sched._kind_slots[lane.kind]:

@@ -631,18 +631,3 @@ class HierarchicalRingSystem:
         """Share of ring transactions that stayed inside a cluster."""
         total = self.local_transactions + self.global_transactions
         return self.local_transactions / total if total else 0.0
-
-    def check_invariants(self) -> None:
-        owners: Dict[int, List[int]] = {}
-        sharers: Dict[int, List[int]] = {}
-        for node, cache in enumerate(self.caches):
-            for block_address, state in cache.resident_blocks().items():
-                if state is CacheState.WE:
-                    owners.setdefault(block_address, []).append(node)
-                else:
-                    sharers.setdefault(block_address, []).append(node)
-        for block_address, holding in owners.items():
-            if len(holding) > 1 or block_address in sharers:
-                raise RuntimeError(
-                    f"coherence violation on block {block_address:#x}"
-                )

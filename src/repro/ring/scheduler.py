@@ -356,7 +356,7 @@ class SlotScheduler:
         else:
             stage = lane.stage
             while True:
-                # Reference path (--no-fastpath): wake at every slot
+                # Reference path (REPRO_NO_FASTPATH=1): wake at every slot
                 # arrival and poll.  Kept verbatim for bisection against
                 # the fast path above.
                 arrival, slot = min(

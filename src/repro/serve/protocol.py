@@ -14,7 +14,7 @@ Job kinds mirror the CLI's experiment families:
   including telemetry histograms.
 * ``check``    -- an exhaustive coherence exploration, reusing the
   explorer's store-backed checkpoints.
-* ``grid``     -- a vectorized design surface (needs NumPy).
+* ``grid``     -- a vectorized design surface.
 
 **Coalescing fingerprints.**  A submission is identified by a content
 hash: for simulation-backed kinds, the :meth:`ResultStore.key_for`
@@ -149,11 +149,6 @@ def _workload_params(payload: Dict[str, Any]) -> Dict[str, Any]:
 def _parse_sweep(payload: Dict[str, Any]) -> Dict[str, Any]:
     params = _workload_params(payload)
     params["cycles_ns"] = _cycles_field(payload)
-    params["use_grid"] = payload.get("use_grid")
-    if params["use_grid"] is not None and not isinstance(
-        params["use_grid"], bool
-    ):
-        raise SpecError("use_grid must be true, false or omitted")
     return params
 
 
@@ -283,9 +278,7 @@ def spec_fingerprint(spec: JobSpec, store) -> str:
     that keys the persistent store, so the daemon's in-flight dedup
     and the store's at-rest dedup agree on what "the same work" means
     -- plus the model-side parameters (cycle axis, parameter axes).
-    ``use_grid`` is deliberately excluded: the grid and scalar solvers
-    are proven bit-identical, so requests differing only in solver
-    coalesce.  ``check`` jobs hash their canonical spec.
+    ``check`` jobs hash their canonical spec.
     """
     setup: Dict[str, Any] = {"kind": spec.kind}
     if spec.kind == "check":

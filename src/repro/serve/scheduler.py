@@ -82,7 +82,6 @@ def _run_sweep(scheduler: "JobScheduler", ex: Execution):
         params["processors"],
         Protocol(params["protocol"]),
         cycles_ns=params["cycles_ns"],
-        use_grid=params["use_grid"],
     )
     if extraction.telemetry is not None:
         scheduler._post(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.check.invariants import check_engine
 from repro.core.config import Protocol
 from repro.core.metrics import MissClass
 from repro.memory.states import CacheState
@@ -73,7 +74,7 @@ def test_write_invalidates_sharers_at_request_phase(setup):
     for node in range(3):
         assert engine.caches[node].state_of(address) is CacheState.INV
     assert engine.caches[3].state_of(address) is CacheState.WE
-    engine.check_invariants()
+    check_engine(engine)
 
 
 def test_dirty_miss_served_by_owner_cache(setup):
@@ -177,4 +178,4 @@ def test_invariants_after_mixed_traffic(setup):
                     sim, engine, node, address, (node + round_number) % 2 == 0
                 )
     sim.run()
-    engine.check_invariants()
+    check_engine(engine)

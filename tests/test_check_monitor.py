@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.check import InvariantMonitor, InvariantViolation
+from repro.check import InvariantMonitor, InvariantViolation, check_engine
 from repro.core.config import CacheConfig, Protocol, SystemConfig
-from repro.core.experiment import run_simulation
+from repro.core.experiment import build_engine, run_simulation
 from repro.core.replication import replicate
 from repro.memory.cache import AccessOutcome
+from repro.memory.states import CacheState
 from repro.sim.kernel import Simulator
 from tests.test_check_explorer import DroppedInvalidationSnooping
 
@@ -124,4 +125,22 @@ def test_monitor_violation_message_names_the_commit():
     message = str(excinfo.value)
     assert "commit #1" in message
     assert "WRITE_MISS" in message
+    assert excinfo.value.kind == "swmr"
+
+
+@pytest.mark.parametrize(
+    "protocol", PROTOCOLS + (Protocol.HIERARCHICAL,), ids=lambda p: p.value
+)
+def test_check_engine_catches_swmr_breach_on_a_private_block(protocol):
+    # Private blocks carry no coherence metadata, but the one shared
+    # scan still holds every engine to SWMR on them.
+    engine = build_engine(
+        Simulator(), SystemConfig(num_processors=4, protocol=protocol)
+    )
+    address = engine.address_map.private_block_address(0, 3)
+    engine.caches[0].fill(address, CacheState.WE)
+    check_engine(engine, strict=True)  # one private writer is coherent
+    engine.caches[1].fill(address, CacheState.RS)
+    with pytest.raises(InvariantViolation) as excinfo:
+        check_engine(engine)
     assert excinfo.value.kind == "swmr"

@@ -7,6 +7,7 @@ commits stay consistent when many readers hit a dirty block at once.
 
 import pytest
 
+from repro.check.invariants import check_engine
 from repro.core.config import Protocol
 from repro.memory.cache import AccessOutcome
 from repro.memory.states import CacheState
@@ -35,7 +36,7 @@ def test_concurrent_clean_reads_all_complete(protocol):
     assert len(latencies) == 4
     for node in range(4):
         assert engine.caches[node].state_of(address) is CacheState.RS
-    engine.check_invariants()
+    check_engine(engine)
 
 
 @pytest.mark.parametrize(
@@ -81,7 +82,7 @@ def test_concurrent_reads_of_dirty_block_commit_once(protocol):
         assert engine.caches[node].state_of(address) is CacheState.RS
     assert engine.caches[0].state_of(address) is CacheState.RS
     assert engine.stats.sharing_writebacks == 1
-    engine.check_invariants()
+    check_engine(engine)
 
 
 @pytest.mark.parametrize(
@@ -113,7 +114,7 @@ def test_write_waits_for_concurrent_readers(protocol):
     assert engine.caches[0].state_of(address) is CacheState.INV
     assert engine.caches[1].state_of(address) is CacheState.INV
     assert results["w"] >= max(results["r0"], results["r1"])
-    engine.check_invariants()
+    check_engine(engine)
 
 
 def test_mixed_block_traffic_runs_concurrently():

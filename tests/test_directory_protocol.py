@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.check.invariants import check_engine
 from repro.core.config import Protocol
 from repro.core.metrics import MissClass
 from repro.memory.states import CacheState
@@ -64,7 +65,7 @@ def test_write_after_sharing_invalidates_precisely(setup):
     assert entry.owner == 3
     for node in range(3):
         assert engine.caches[node].state_of(address) is CacheState.INV
-    engine.check_invariants()
+    check_engine(engine)
 
 
 def test_read_of_dirty_downgrades_and_reshapes_directory(setup):
@@ -89,7 +90,7 @@ def test_upgrade_with_sharers_multicasts(setup):
     assert engine.stats.upgrades_with_sharers == 1
     for node in (1, 2, 3):
         assert engine.caches[node].state_of(address) is CacheState.INV
-    engine.check_invariants()
+    check_engine(engine)
 
 
 def test_upgrade_without_sharers_skips_multicast(setup):
@@ -167,7 +168,7 @@ def test_traversal_histogram_never_exceeds_two(setup):
                 )
     assert engine.stats.miss_traversals.percentage_at_least(3) == 0.0
     assert engine.stats.upgrade_traversals.percentage_at_least(3) == 0.0
-    engine.check_invariants()
+    check_engine(engine)
 
 
 # ----------------------------------------------------------------------
@@ -221,7 +222,7 @@ def test_reclaim_from_buffer_preserves_directory(setup):
     assert entry.dirty
     assert entry.owner == 0
     assert engine.caches[0].state_of(addr_a) is CacheState.WE
-    engine.check_invariants()
+    check_engine(engine)
 
 
 def test_stale_presence_bits_after_silent_rs_eviction(setup):
@@ -238,7 +239,7 @@ def test_stale_presence_bits_after_silent_rs_eviction(setup):
     sim.run()
     assert engine.caches[1].state_of(addr_a) is CacheState.INV
     assert directory_entry(engine, addr_a).owner == 2
-    engine.check_invariants()
+    check_engine(engine)
 
 
 def test_private_misses_skip_directory(setup):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.check.invariants import check_engine
 from repro.core.config import Protocol, SystemConfig
 from repro.core.experiment import (
     clear_simulation_cache,
@@ -133,4 +134,4 @@ def test_final_state_passes_invariants():
         )
         spawn_trace_processor(sim, processor, name=f"cpu{node}")
     sim.run()
-    engine.check_invariants()
+    check_engine(engine)

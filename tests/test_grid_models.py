@@ -22,21 +22,9 @@ from repro.core.metrics import MissClass
 from repro.core.results import ModelInputs, OperatingPoint
 from repro.models import grid as grid_engine
 from repro.models.bus import BusModel
-from repro.models.matching import matching_bus_clock_ns
-from repro.models.register_insertion import (
-    access_comparison,
-    crossover_utilization,
-    register_insertion_access_ps,
-    slotted_access_ps,
-)
 from repro.models.ring_directory import DirectoryRingModel
 from repro.models.ring_linkedlist import LinkedListRingModel
 from repro.models.ring_snooping import SnoopingRingModel
-from repro.models.snoop_rate import (
-    TABLE3_BLOCK_SIZES,
-    TABLE3_WIDTHS,
-    snoop_interarrival_ns,
-)
 
 #: The equivalence contract: every finite grid metric within this
 #: relative tolerance of the scalar oracle.
@@ -268,16 +256,17 @@ def test_one_processor_rejected_consistently():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_grid_sweep_matches_scalar_sweep(family):
+    """A one-configuration product grid is the scalar ``sweep()``: the
+    chained warm start walks the default cycle axis the same way."""
     protocol, model_type = FAMILIES[family]
     config = SystemConfig(num_processors=16, protocol=protocol)
     inputs = _make_inputs(protocol, 16, forwards=0.004, upgrade_traversals=2.5)
     scalar = model_type(config, inputs).sweep()
-    vector = grid_engine.grid_sweep(config, inputs)
-    assert vector.label == scalar.label
-    assert vector.protocol == scalar.protocol
-    assert vector.benchmark == scalar.benchmark
-    assert len(vector.points) == len(scalar.points)
-    for ours, oracle in zip(vector.points, scalar.points):
+    grid = grid_engine.ModelGrid.from_product(family, config, inputs)
+    assert grid.chain_shape == (1, len(scalar.points))
+    vector = grid_engine.solve_grid(grid).operating_points()
+    assert len(vector) == len(scalar.points)
+    for ours, oracle in zip(vector, scalar.points):
         _assert_matches(
             ours, oracle, where=f"at {oracle.processor_cycle_ns} ns"
         )
@@ -326,84 +315,6 @@ def test_product_grid_matches_scalar_across_parameter_axes():
     assert np.array_equal(
         shaped.reshape(-1), solution.processor_utilization
     )
-
-
-# ----------------------------------------------------------------------
-# Table 4 matching (vectorized bisection)
-# ----------------------------------------------------------------------
-def test_matching_bus_clock_grid_matches_scalar():
-    protocol = Protocol.SNOOPING
-    points = []
-    for processors, ring_clock_ps, cycle_ps in (
-        (8, 2_000, 10_000),
-        (8, 4_000, 5_000),
-        (16, 2_000, 2_500),
-        (32, 2_000, 10_000),
-    ):
-        base = SystemConfig(num_processors=processors, protocol=protocol)
-        config = replace(
-            base, ring=replace(base.ring, clock_ps=ring_clock_ps)
-        )
-        points.append((config, _make_inputs(protocol, processors), cycle_ps))
-    ours = grid_engine.matching_bus_clock_grid(points)
-    for index, (config, inputs, cycle_ps) in enumerate(points):
-        oracle = matching_bus_clock_ns(config, inputs, cycle_ps)
-        assert ours[index] == pytest.approx(oracle, rel=REL), (
-            f"matching clock diverged at point {index}"
-        )
-
-
-# ----------------------------------------------------------------------
-# Closed-form families: register insertion and snoop rate
-# ----------------------------------------------------------------------
-def test_register_insertion_grids_match_scalar():
-    loads = [i / 20.0 for i in range(20)]
-    slotted = grid_engine.slotted_access_grid(loads, 4_000.0)
-    inserted = grid_engine.register_insertion_access_grid(loads, 1_000.0)
-    for index, load in enumerate(loads):
-        assert slotted[index] == pytest.approx(
-            slotted_access_ps(load, 4_000.0), rel=REL
-        )
-        assert inserted[index] == pytest.approx(
-            register_insertion_access_ps(load, 1_000.0), rel=REL
-        )
-
-    axis, slotted, inserted = grid_engine.access_comparison_grid(
-        4_000.0, 1_000.0
-    )
-    scalar = access_comparison(4_000.0, 1_000.0)
-    assert len(scalar) == axis.shape[0]
-    for index, point in enumerate(scalar):
-        assert axis[index] == pytest.approx(point.utilization, rel=REL)
-        assert slotted[index] == pytest.approx(point.slotted_ps, rel=REL)
-        assert inserted[index] == pytest.approx(
-            point.register_insertion_ps, rel=REL
-        )
-
-    assert grid_engine.crossover_utilization_grid(
-        4_000.0, 1_000.0
-    ) == pytest.approx(crossover_utilization(4_000.0, 1_000.0), rel=REL)
-
-    with pytest.raises(ValueError):
-        grid_engine.register_insertion_access_grid(
-            loads, 1_000.0, fairness_efficiency=0.0
-        )
-
-
-def test_snoop_interarrival_grid_matches_scalar():
-    widths = np.array(TABLE3_WIDTHS).reshape(-1, 1)
-    blocks = np.array(TABLE3_BLOCK_SIZES).reshape(1, -1)
-    table = grid_engine.snoop_interarrival_grid(widths, blocks)
-    assert table.shape == (len(TABLE3_WIDTHS), len(TABLE3_BLOCK_SIZES))
-    for i, width in enumerate(TABLE3_WIDTHS):
-        for j, block in enumerate(TABLE3_BLOCK_SIZES):
-            assert table[i, j] == pytest.approx(
-                snoop_interarrival_ns(width, block), rel=REL
-            )
-    with pytest.raises(ValueError):
-        grid_engine.snoop_interarrival_grid(12, 32)  # not a byte multiple
-    with pytest.raises(ValueError):
-        grid_engine.snoop_interarrival_grid(32, 32, probe_slots=3)
 
 
 # ----------------------------------------------------------------------
@@ -466,13 +377,29 @@ def test_unknown_family_rejected():
 # End to end through the sensitivity layer (one real extraction)
 # ----------------------------------------------------------------------
 def test_model_sensitivity_sweep_grid_equals_scalar_rows():
-    from repro.core.sensitivity import model_sensitivity_sweep
+    """The grid-solved sensitivity rows equal the scalar model solved
+    one value at a time on the same extraction."""
+    from repro.core.experiment import run_simulation_cached
+    from repro.core.hybrid import _target_config, extraction_point, model_for
+    from repro.core.sensitivity import apply_parameter, model_sensitivity_sweep
 
-    kwargs = dict(
-        parameter="ring_clock_ps",
-        values=[1_500, 2_000, 4_000],
-        data_refs=600,
+    values = [1_500, 2_000, 4_000]
+    rows = model_sensitivity_sweep(
+        "mp3d", 4, "ring_clock_ps", values, data_refs=600
     )
-    scalar = model_sensitivity_sweep("mp3d", 4, use_grid=False, **kwargs)
-    vector = model_sensitivity_sweep("mp3d", 4, use_grid=True, **kwargs)
-    assert vector == scalar
+    point = extraction_point("mp3d", 4, Protocol.SNOOPING, data_refs=600)
+    simulated = run_simulation_cached(
+        "mp3d", 4, point.protocol, data_refs=600, config=point.config
+    )
+    base = _target_config(4, Protocol.SNOOPING, None)
+    assert [row["ring_clock_ps"] for row in rows] == values
+    for row, value in zip(rows, values):
+        config = apply_parameter(base, "ring_clock_ps", value)
+        oracle = model_for(config, simulated).solve(20_000)
+        assert row == {
+            "ring_clock_ps": value,
+            "proc util": round(oracle.processor_utilization, 4),
+            "net util": round(oracle.network_utilization, 4),
+            "miss latency (ns)": round(oracle.shared_miss_latency_ns, 1),
+            "upgrade latency (ns)": round(oracle.upgrade_latency_ns, 1),
+        }

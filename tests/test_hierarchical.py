@@ -3,6 +3,7 @@
 import pytest
 from dataclasses import replace
 
+from repro.check.invariants import check_engine
 from repro.core.config import Protocol, SystemConfig
 from repro.core.experiment import build_engine, run_simulation
 from repro.memory.states import CacheState
@@ -62,7 +63,7 @@ def test_cold_read_and_write(setup=None):
     assert engine.caches[0].state_of(address) is CacheState.RS
     run_reference(sim, engine, 0, address, True)
     assert engine.caches[0].state_of(address) is CacheState.WE
-    engine.check_invariants()
+    check_engine(engine)
 
 
 def test_cross_cluster_write_invalidates_everywhere():
@@ -75,7 +76,7 @@ def test_cross_cluster_write_invalidates_everywhere():
     for node in (0, 3, 4, 7):
         assert engine.caches[node].state_of(address) is CacheState.INV
     assert engine.caches[1].state_of(address) is CacheState.WE
-    engine.check_invariants()
+    check_engine(engine)
 
 
 def test_cross_cluster_dirty_read_downgrades():
@@ -88,7 +89,7 @@ def test_cross_cluster_dirty_read_downgrades():
     assert engine.caches[6].state_of(address) is CacheState.RS
     block = engine.address_map.block_of(address)
     assert not engine.dirty_bits.is_dirty(block)
-    engine.check_invariants()
+    check_engine(engine)
 
 
 def test_local_transaction_cheaper_than_remote():
@@ -138,7 +139,7 @@ def test_cross_cluster_writeback_round_trip():
     sim.run()
     block = engine.address_map.block_of(address)
     assert not engine.dirty_bits.is_dirty(block)
-    engine.check_invariants()
+    check_engine(engine)
 
 
 def test_full_simulation_smoke_and_invariants():

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.check.invariants import check_engine
 from repro.core.config import ProcessorConfig, Protocol, SystemConfig
 from repro.core.experiment import build_engine, run_simulation
 from repro.memory.states import CacheState
@@ -58,7 +59,7 @@ def drive(protocol, weak, clusters=None, num_processors=8):
 )
 def test_weak_ordering_coherent_on_every_interconnect(protocol, clusters):
     engine, processors, address = drive(protocol, weak=True, clusters=clusters)
-    engine.check_invariants()
+    check_engine(engine)
     owners = [
         node
         for node in range(8)

@@ -7,8 +7,8 @@ snooping, full-map directory and linked-list engines, asserting the
 core invariants after every drained transaction:
 
 * **Single-writer / multi-reader** -- at most one cache holds a block
-  WE, and never concurrently with RS copies elsewhere (the engines'
-  own ``check_invariants`` plus direct assertions here).
+  WE, and never concurrently with RS copies elsewhere (the
+  shared ``check_engine`` scan plus direct assertions here).
 * **Directory-cache agreement** -- each protocol's ownership metadata
   (dirty bit + owner hint, presence bits, sharing list) matches the
   actual cache states.  The full map is allowed stale presence bits
@@ -32,6 +32,7 @@ import random
 
 import pytest
 
+from repro.check.invariants import check_engine
 from repro.core.config import CacheConfig, Protocol, SystemConfig
 from repro.core.experiment import build_engine
 from repro.memory.cache import AccessOutcome
@@ -147,7 +148,7 @@ def assert_agreement(engine, protocol: Protocol, address: int) -> None:
 
 
 def assert_all_agreement(engine, protocol: Protocol, addresses) -> None:
-    engine.check_invariants()
+    check_engine(engine)
     for address in addresses:
         assert_agreement(engine, protocol, address)
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.check.invariants import check_engine
 from repro.core.config import Protocol
 from repro.core.metrics import MissClass
 from repro.memory.states import CacheState
@@ -48,7 +49,7 @@ def test_write_collapses_list(setup):
     assert entry.dirty
     for node in (0, 1, 2):
         assert engine.caches[node].state_of(address) is CacheState.INV
-    engine.check_invariants()
+    check_engine(engine)
 
 
 def test_upgrade_purges_rest_of_list(setup):
@@ -62,7 +63,7 @@ def test_upgrade_purges_rest_of_list(setup):
     assert entry.dirty
     assert engine.caches[0].state_of(address) is CacheState.INV
     assert engine.caches[2].state_of(address) is CacheState.INV
-    engine.check_invariants()
+    check_engine(engine)
 
 
 def test_read_of_dirty_block_forwards_to_head(setup):
@@ -126,7 +127,7 @@ def test_stale_head_merged_on_remiss(setup):
     entry = entry_for(engine, addr_a)
     assert entry.chain.count(1) == 1
     assert engine.caches[1].state_of(addr_a) is CacheState.RS
-    engine.check_invariants()
+    check_engine(engine)
 
 
 def test_dirty_victim_reclaim(setup):
@@ -141,7 +142,7 @@ def test_dirty_victim_reclaim(setup):
     entry = entry_for(engine, addr_a)
     assert entry.dirty and entry.head == 0
     assert engine.caches[0].state_of(addr_a) is CacheState.WE
-    engine.check_invariants()
+    check_engine(engine)
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ all transactions drain every engine must satisfy:
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.check.invariants import check_engine
 from repro.core.config import Protocol
 from repro.memory.states import CacheState
 from tests.conftest import make_engine, run_reference
@@ -40,7 +41,7 @@ def drive_sequence(protocol, accesses):
 
 
 def check_common_invariants(engine, accesses):
-    engine.check_invariants()
+    check_engine(engine)
     # The last writer of every block either still holds WE or was
     # legitimately invalidated/downgraded by someone later; at minimum
     # the *final* access's own guarantee must hold:

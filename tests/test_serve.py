@@ -269,6 +269,17 @@ def test_pooled_daemon_first_stream_reaches_end_of_file(temp_store):
 # ----------------------------------------------------------------------
 # Validation and error paths
 # ----------------------------------------------------------------------
+def test_sweep_spec_ignores_the_retired_use_grid_field():
+    # Unknown payload keys are ignored: a client that sends a solver
+    # toggle gets the same canonical job, hence the same fingerprint.
+    from repro.serve.protocol import parse_spec
+
+    for legacy in (True, False, "yes"):
+        assert parse_spec(dict(SWEEP_SPEC, use_grid=legacy)) == parse_spec(
+            SWEEP_SPEC
+        )
+
+
 def test_submission_validation_and_conflicts(daemon, client):
     with pytest.raises(ServeError) as excinfo:
         client.submit({"kind": "nope"})

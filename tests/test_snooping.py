@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.check.invariants import check_engine
 from repro.core.config import Protocol
 from repro.core.metrics import MissClass
 from repro.memory.states import CacheState
@@ -63,7 +64,7 @@ def test_read_sharing_allows_multiple_rs(setup):
         run_reference(sim, engine, node, address, False)
     for node in range(4):
         assert engine.caches[node].state_of(address) is CacheState.RS
-    engine.check_invariants()
+    check_engine(engine)
 
 
 def test_upgrade_invalidates_other_sharers(setup):
@@ -77,7 +78,7 @@ def test_upgrade_invalidates_other_sharers(setup):
         assert engine.caches[node].state_of(address) is CacheState.INV
     assert engine.stats.upgrade_latency.count == 1
     assert engine.stats.upgrades_with_sharers == 1
-    engine.check_invariants()
+    check_engine(engine)
 
 
 def test_upgrade_without_sharers_counted(setup):
@@ -98,7 +99,7 @@ def test_read_of_dirty_block_downgrades_owner(setup):
     assert engine.caches[3].state_of(address) is CacheState.RS
     block = engine.address_map.block_of(address)
     assert not engine.dirty_bits.is_dirty(block)
-    engine.check_invariants()
+    check_engine(engine)
 
 
 def test_write_miss_on_dirty_transfers_ownership(setup):
@@ -110,7 +111,7 @@ def test_write_miss_on_dirty_transfers_ownership(setup):
     assert engine.caches[1].state_of(address) is CacheState.INV
     assert engine.caches[3].state_of(address) is CacheState.WE
     assert engine._dirty_node[block] == 3
-    engine.check_invariants()
+    check_engine(engine)
 
 
 def test_write_miss_invalidates_all_sharers(setup):
@@ -273,7 +274,7 @@ def test_reclaim_from_writeback_buffer(setup):
     run_reference(sim, engine, 0, addr_a, True)
     sim.run()
     assert engine.caches[0].state_of(addr_a) is CacheState.WE
-    engine.check_invariants()
+    check_engine(engine)
 
 
 def test_sharing_writeback_traffic_counted(setup):

@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.check.invariants import check_engine
 from repro.core.config import ProcessorConfig, Protocol, SystemConfig
 from repro.core.experiment import build_engine, run_simulation
 from repro.memory.states import CacheState
@@ -66,7 +67,7 @@ def test_background_upgrade_eventually_commits():
     assert engine.caches[0].state_of(SHARED_BASE) is CacheState.WE
     assert engine.stats.upgrade_latency.count == 1
     assert not processor._pending_upgrades
-    engine.check_invariants()
+    check_engine(engine)
 
 
 def test_private_upgrades_unaffected():
@@ -127,7 +128,7 @@ def test_weak_ordering_coherence_preserved_under_contention():
         processors.append(processor)
         spawn_trace_processor(sim, processor, name="cpu")
     sim.run()
-    engine.check_invariants()
+    check_engine(engine)
     owners = [
         node
         for node in range(4)
