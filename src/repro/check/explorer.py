@@ -18,7 +18,10 @@ Three mechanisms make the search CI-exhaustive at the
   visited-set test, so one representative per orbit is explored --
   a 4--12x cut in visited states at 4p/2l, measured per protocol in
   ``docs/CHECKING.md``.  ``symmetry="none"`` keeps the raw
-  (identity-canonicalized) search as the equivalence oracle.
+  (identity-canonicalized) search as the equivalence oracle.  The
+  coordinator and every pool worker share one context per setup
+  (:func:`~repro.check.symmetry.canonical_context`), so a raw state
+  reached by many transitions is canonicalised once per process.
 * **One-step expansions.**  Engine state lives in suspended processes
   *only between* events; at quiescence the whole harness is plain
   data, so each frontier state is frozen once
@@ -64,7 +67,7 @@ from repro.check.state import (
     StepSpec,
 )
 from repro.check.specmode import SpecCheckedHarness, SpecHarness
-from repro.check.symmetry import SYMMETRY_MODES, CanonicalContext
+from repro.check.symmetry import SYMMETRY_MODES, canonical_context
 
 __all__ = [
     "EXPANSION_MODES",
@@ -397,7 +400,7 @@ def _expand_batch(payload):
     """
     protocol, nodes, lines, races, symmetry, factory, entries = payload
     alphabet = step_alphabet(nodes, lines, races=races)
-    context = CanonicalContext(protocol, nodes, lines, symmetry)
+    context = canonical_context(protocol, nodes, lines, symmetry)
     results = []
     replayed = 0
     for position, script in entries:
@@ -505,7 +508,7 @@ def explore(
             )
         harness_factory = EXPANSION_MODES[expansion]
     alphabet = step_alphabet(nodes, lines, races=races)
-    context = CanonicalContext(protocol, nodes, lines, symmetry)
+    context = canonical_context(protocol, nodes, lines, symmetry)
     report = ExploreReport(
         protocol=protocol,
         nodes=nodes,

@@ -21,6 +21,17 @@ state under the configured permutation group:
   within one cluster) -- relabeling across clusters would move a node
   onto a different local ring.
 
+The minimum is computed without walking the group.  The encoding
+compares the cache-state matrix before the line views, so for each
+line permutation the smallest matrix is the node rows sorted (within
+each cluster, then the clusters by their sorted blocks); only line
+permutations reaching the overall smallest matrix survive, and node
+relabelings are enumerated only inside the tie classes that keep it
+(equal rows, equal cluster blocks).  The minimum of the relabeled
+views over those candidates is the group minimum;
+``tests/test_check_symmetry.py`` checks it against the brute-force
+``min`` over :func:`permutation_group`.
+
 Honesty note (also in ``docs/CHECKING.md``): the protocol *logic* is
 exactly symmetric under these relabelings, but transaction *timing*
 is not -- ring distance to a line's home node changes with the
@@ -43,6 +54,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 __all__ = [
     "SYMMETRY_MODES",
     "CanonicalContext",
+    "canonical_context",
     "cluster_permutations",
     "encode_state",
     "permutation_group",
@@ -181,13 +193,22 @@ def state_fingerprint(encoded: tuple) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _placements(labels: Sequence[int], slots: Sequence[int]) -> List[tuple]:
+    """Every one-to-one assignment of ``labels`` to ``slots``."""
+    return [
+        tuple(zip(labels, picked)) for picked in itertools.permutations(slots)
+    ]
+
+
 class CanonicalContext:
     """Canonicalization bound to one checker configuration.
 
     Bundles the permutation group for ``(nodes, lines, symmetry)`` --
     cluster-respecting when the protocol is hierarchical -- and
     exposes the two operations the explorer needs: the canonical
-    encoded form of a state and its fingerprint.
+    encoded form of a state and its fingerprint.  Fingerprints are
+    memoised per raw state: the explorer reaches the same raw state
+    from many transitions.
     """
 
     def __init__(
@@ -209,6 +230,11 @@ class CanonicalContext:
         self.group = permutation_group(
             nodes, lines, symmetry, per_cluster=per_cluster
         )
+        # A flat group is one cluster holding every node.
+        self._per_cluster = per_cluster or nodes
+        # Every line permutation, as the old line at each new position.
+        self._line_orders = list(itertools.permutations(range(lines)))
+        self._fingerprints: Dict[tuple, str] = {}
 
     @property
     def group_size(self) -> int:
@@ -216,15 +242,102 @@ class CanonicalContext:
 
     def canonical(self, state: tuple) -> tuple:
         """The minimal encoding of ``state`` over the group."""
-        group = self.group
         nodes, lines = self.nodes, self.lines
-        if len(group) == 1:
-            node_perm, line_perm = group[0]
-            return encode_state(state, node_perm, line_perm, nodes, lines)
-        return min(
-            encode_state(state, node_perm, line_perm, nodes, lines)
-            for node_perm, line_perm in group
+        if self.symmetry == "none":
+            return encode_state(
+                state, _identity(nodes), _identity(lines), nodes, lines
+            )
+        caches, views = state
+        per_cluster = self._per_cluster
+        matrix = [[""] * lines for _ in range(nodes)]
+        for node, line, name in caches:
+            matrix[node][line] = name
+        # The smallest matrix per line order: rows sorted within each
+        # cluster, clusters sorted by their blocks.  Keep every line
+        # order that reaches the overall smallest one.
+        best = None
+        ties: List[tuple] = []
+        for order in self._line_orders:
+            rows = [tuple(row[old] for old in order) for row in matrix]
+            clusters = []
+            for start in range(0, nodes, per_cluster):
+                members = sorted(
+                    range(start, start + per_cluster), key=rows.__getitem__
+                )
+                clusters.append(
+                    (tuple(rows[node] for node in members), members)
+                )
+            clusters.sort()
+            blocks = tuple(block for block, _ in clusters)
+            if best is None or blocks < best:
+                best, ties = blocks, [(order, clusters)]
+            elif blocks == best:
+                ties.append((order, clusters))
+        by_line = dict(views)
+        relabeled = min(
+            tuple(relabel_view(by_line[old], node_perm) for old in order)
+            for order, clusters in ties
+            for node_perm in self._relabelings(clusters)
+        )
+        return (
+            tuple(name for block in best for row in block for name in row),
+            relabeled,
         )
 
+    def _relabelings(self, clusters: List[tuple]):
+        """Node relabelings that keep the sorted ``clusters`` matrix.
+
+        Clusters with equal blocks may trade places, and nodes with
+        equal rows may trade slots within their cluster.
+        """
+        per_cluster = self._per_cluster
+        outer_choices: List[List[tuple]] = []
+        inner_choices: List[List[tuple]] = []
+        for _, tied in itertools.groupby(
+            enumerate(clusters), key=lambda item: item[1][0]
+        ):
+            tied = list(tied)
+            outer_choices.append(
+                _placements(
+                    [members[0] // per_cluster for _, (_, members) in tied],
+                    [position for position, _ in tied],
+                )
+            )
+            for _, (block, members) in tied:
+                for _, slots in itertools.groupby(
+                    range(per_cluster), key=block.__getitem__
+                ):
+                    slots = list(slots)
+                    inner_choices.append(
+                        _placements([members[s] for s in slots], slots)
+                    )
+        for outer_pick in itertools.product(*outer_choices):
+            cluster_at = dict(pair for part in outer_pick for pair in part)
+            for inner_pick in itertools.product(*inner_choices):
+                node_perm = [0] * self.nodes
+                for part in inner_pick:
+                    for node, slot in part:
+                        node_perm[node] = (
+                            cluster_at[node // per_cluster] * per_cluster
+                            + slot
+                        )
+                yield node_perm
+
     def fingerprint(self, state: tuple) -> str:
-        return state_fingerprint(self.canonical(state))
+        fingerprint = self._fingerprints.get(state)
+        if fingerprint is None:
+            fingerprint = state_fingerprint(self.canonical(state))
+            self._fingerprints[state] = fingerprint
+        return fingerprint
+
+
+@lru_cache(maxsize=16)
+def canonical_context(
+    protocol: str, nodes: int, lines: int, symmetry: str = "full"
+) -> CanonicalContext:
+    """The process-wide context (and fingerprint memo) for one setup.
+
+    Pool workers expand many frontier batches of one search; sharing
+    the context lets each raw state be canonicalised once per process.
+    """
+    return CanonicalContext(protocol, nodes, lines, symmetry)

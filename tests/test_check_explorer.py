@@ -10,6 +10,7 @@ vacuous.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pathlib
@@ -273,6 +274,59 @@ def test_explore_rejects_unknown_symmetry():
 
 
 # ----------------------------------------------------------------------
+# Proof digests: every canonical fingerprint, pinned byte for byte
+# ----------------------------------------------------------------------
+DIGEST_GOLDEN = pathlib.Path(__file__).parent / "golden" / "explore_digests.json"
+#: (protocol, nodes, lines) of each pinned exhaustive proof; the
+#: hierarchical ring needs 4 nodes for two clusters (the cluster group).
+DIGEST_CONFIGS = (
+    ("snooping", 3, 2),
+    ("directory", 3, 2),
+    ("linkedlist", 3, 2),
+    ("bus", 3, 2),
+    ("hierarchical", 4, 2),
+)
+
+
+def _proof_digest(protocol: str, nodes: int, lines: int) -> dict:
+    """Counters, summary and visited-set hash of one exhaustive proof."""
+    report = explore(protocol, nodes=nodes, lines=lines)
+    visited = "\n".join(report.visited_fingerprints).encode("ascii")
+    return {
+        "counters": report.counters(),
+        "summary": report.summary(),
+        "visited_sha256": hashlib.sha256(visited).hexdigest(),
+    }
+
+
+@pytest.mark.parametrize(
+    "protocol,nodes,lines",
+    DIGEST_CONFIGS,
+    ids=[f"{p}-{n}p{l}l" for p, n, l in DIGEST_CONFIGS],
+)
+def test_proof_digest_matches_golden(protocol, nodes, lines):
+    """Canonicalisation changes must leave every fingerprint unchanged.
+
+    Regenerate only for a deliberate change of the canonical encoding:
+    ``PYTHONPATH=src python tests/test_check_explorer.py --write``.
+    """
+    assert DIGEST_GOLDEN.exists(), f"{DIGEST_GOLDEN} not checked in"
+    golden = json.loads(DIGEST_GOLDEN.read_text())
+    key = f"{protocol}-{nodes}p{lines}l"
+    assert _proof_digest(protocol, nodes, lines) == golden[key]
+
+
+def _write_digest_golden() -> None:
+    digests = {
+        f"{p}-{n}p{l}l": _proof_digest(p, n, l) for p, n, l in DIGEST_CONFIGS
+    }
+    DIGEST_GOLDEN.write_text(
+        json.dumps(digests, sort_keys=True, indent=1) + "\n"
+    )
+    print(f"wrote {DIGEST_GOLDEN}")
+
+
+# ----------------------------------------------------------------------
 # Parallel frontier expansion: bit-identical to serial
 # ----------------------------------------------------------------------
 class ParallelMutantHarness(EngineHarness):
@@ -510,3 +564,9 @@ def test_step_spec_rejects_empty_and_oversized():
         StepSpec(())
     with pytest.raises(ValueError):
         StepSpec((Ref(0, 0, False),) * 3)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_check_explorer.py --write")
+    _write_digest_golden()

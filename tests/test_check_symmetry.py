@@ -1,5 +1,9 @@
 """Symmetry reduction: the canonicalizer must be a true symmetry.
 
+The canonical form must also be *the* group minimum: a Hypothesis
+property compares it with the brute-force ``min`` over every group
+element (the oracle lives here, not in ``src/``).
+
 Two properties carry the whole reduction argument:
 
 * **Orbit collapse**: relabeling a state by any group element must not
@@ -18,11 +22,14 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.check.state import EngineHarness, Ref, StepSpec
 from repro.check.symmetry import (
     SYMMETRY_MODES,
     CanonicalContext,
+    canonical_context,
     cluster_permutations,
     encode_state,
     permutation_group,
@@ -222,3 +229,102 @@ def test_fingerprints_are_stable_hex_digests():
     second = CanonicalContext("snooping", 2, 1, "full").fingerprint(state)
     assert first == second
     assert len(first) == 64 and int(first, 16) >= 0
+
+
+# ----------------------------------------------------------------------
+# The canonical form is the brute-force group minimum
+# ----------------------------------------------------------------------
+def brute_force_canonical(state, nodes, lines, symmetry, per_cluster=None):
+    """The oracle: minimise the encoding over every group element."""
+    return min(
+        encode_state(state, node_perm, line_perm, nodes, lines)
+        for node_perm, line_perm in permutation_group(
+            nodes, lines, symmetry, per_cluster=per_cluster
+        )
+    )
+
+
+#: (nodes, lines, nodes per cluster or None for the flat group).
+GROUP_SHAPES = (
+    (2, 1, None),
+    (3, 2, None),
+    (3, 3, None),
+    (4, 2, None),
+    (5, 2, None),
+    (4, 1, 2),
+    (4, 2, 2),
+    (4, 3, 2),
+    (6, 2, 2),
+    (6, 2, 3),
+)
+
+
+@st.composite
+def abstract_states(draw):
+    """A random ``AbstractState`` with many ties between rows."""
+    nodes, lines, per_cluster = draw(st.sampled_from(GROUP_SHAPES))
+    symmetry = draw(st.sampled_from(SYMMETRY_MODES))
+    tag = draw(st.sampled_from(("dirty-bit", "owner", "full-map", "list")))
+    # Fewer distinct cache states make more tied rows and blocks.
+    names = st.sampled_from(
+        ("INVALID", "SHARED", "DIRTY")[: draw(st.integers(1, 3))]
+    )
+    caches = tuple(
+        (node, line, draw(names))
+        for node in range(nodes)
+        for line in range(lines)
+    )
+    views = []
+    for line in range(lines):
+        dirty = draw(st.booleans())
+        if tag in ("dirty-bit", "owner"):
+            owner = draw(st.none() | st.integers(0, nodes - 1))
+            views.append((line, (tag, dirty, owner)))
+        else:
+            members = draw(
+                st.lists(
+                    st.integers(0, nodes - 1), unique=True, max_size=nodes
+                )
+            )
+            if tag == "full-map":
+                members = sorted(members)
+            views.append((line, (tag, dirty, tuple(members))))
+    return nodes, lines, per_cluster, symmetry, (caches, tuple(views))
+
+
+@settings(max_examples=400, deadline=None)
+@given(abstract_states())
+def test_canonical_equals_the_brute_force_group_minimum(drawn):
+    nodes, lines, per_cluster, symmetry, state = drawn
+    protocol = "snooping" if per_cluster is None else "hierarchical"
+    context = CanonicalContext(
+        protocol, nodes, lines, symmetry, per_cluster=per_cluster
+    )
+    assert context.canonical(state) == brute_force_canonical(
+        state, nodes, lines, symmetry, per_cluster
+    )
+
+
+def test_fingerprint_is_the_same_on_a_memo_hit_and_a_miss(monkeypatch):
+    harness = EngineHarness("snooping", 3, 2)
+    harness.apply(StepSpec((Ref(1, 0, True),)))
+    state = harness.snapshot()
+    context = CanonicalContext("snooping", 3, 2, "full")
+    miss = context.fingerprint(state)
+    assert miss == state_fingerprint(context.canonical(state))
+
+    def recomputed(_state):
+        raise AssertionError("a repeated raw state was canonicalised again")
+
+    monkeypatch.setattr(context, "canonical", recomputed)
+    assert context.fingerprint(state) == miss
+    # A fresh context (cold memo) and the shared one agree.
+    assert CanonicalContext("snooping", 3, 2, "full").fingerprint(state) == miss
+    assert canonical_context("snooping", 3, 2, "full").fingerprint(state) == miss
+
+
+def test_canonical_context_is_shared_per_setup():
+    shared = canonical_context("hierarchical", 4, 2, "full")
+    assert canonical_context("hierarchical", 4, 2, "full") is shared
+    assert shared.group_size == 16
+    assert canonical_context("hierarchical", 4, 2, "none") is not shared
